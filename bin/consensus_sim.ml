@@ -10,24 +10,20 @@ module E = Ci_workload.Experiments
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
-module Fault_plan = Ci_workload.Fault_plan
 
 (* ----- shared argument parsing ----------------------------------------- *)
 
 let protocol_conv =
-  let parse = function
-    | "1paxos" -> Ok Runner.Onepaxos
-    | "multipaxos" -> Ok Runner.Multipaxos
-    | "2pc" -> Ok Runner.Twopc
-    | "mencius" -> Ok Runner.Mencius
-    | "cheappaxos" -> Ok Runner.Cheappaxos
-    | s ->
+  let parse s =
+    match Ci_consensus.Protocol.of_string s with
+    | Some p -> Ok p
+    | None ->
       Error
         (`Msg
            (Printf.sprintf
               "unknown protocol %S (1paxos|multipaxos|2pc|mencius|cheappaxos)" s))
   in
-  let print fmt p = Format.pp_print_string fmt (Runner.protocol_name p) in
+  let print fmt p = Format.pp_print_string fmt (Ci_consensus.Protocol.name p) in
   Arg.conv (parse, print)
 
 let topology_conv =
@@ -55,24 +51,6 @@ let net_conv =
         (`Msg (Printf.sprintf "unknown network %S (multicore|lan|lan-wide|rdma)" s))
   in
   Arg.conv (parse, Net_params.pp)
-
-let fault_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ core; from_; until_; factor ] ->
-      (try
-         Ok
-           (Fault_plan.Slow_core
-              {
-                core = int_of_string core;
-                from_ = Sim_time.ms (int_of_string from_);
-                until_ = Sim_time.ms (int_of_string until_);
-                factor = float_of_string factor;
-              })
-       with _ -> Error (`Msg "fault: expected CORE:FROM_MS:UNTIL_MS:FACTOR"))
-    | _ -> Error (`Msg "fault: expected CORE:FROM_MS:UNTIL_MS:FACTOR")
-  in
-  Arg.conv (parse, Fault_plan.pp)
 
 (* Nemesis flag parsers: each flag value is one [Ci_faults.fault] in a
    colon-separated format (times in ms from the start of the run). *)
@@ -196,7 +174,7 @@ let run_cmd =
   let batch_delay = Arg.(value & opt int 5 & info [ "batch-delay-us" ] ~doc:"How long the leader holds a partial batch (us).") in
   let pipeline = Arg.(value & opt int 0 & info [ "pipeline" ] ~doc:"Max batches in flight at the leader (0 = unbounded, as in the paper).") in
   let coalesce = Arg.(value & opt int 1 & info [ "coalesce" ] ~doc:"Receive-coalescing budget: messages drained per reception charge (1 = uncoalesced).") in
-  let faults = Arg.(value & opt_all fault_conv [] & info [ "slow-core" ] ~doc:"Inject a slowdown, CORE:FROM_MS:UNTIL_MS:FACTOR (repeatable).") in
+  let faults = Arg.(value & opt_all slow_nem_conv [] & info [ "slow-core" ] ~doc:"Inject a slowdown, CORE:FROM_MS:UNTIL_MS:FACTOR (repeatable; FACTOR $(b,inf) stops the core).") in
   let timeline = Arg.(value & flag & info [ "timeline" ] ~doc:"Also print per-10ms commit rates.") in
   let trace_out = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc:"Record typed trace events and write them to $(docv).") in
   let trace_format =
@@ -258,7 +236,7 @@ let run_cmd =
         batch;
         batch_delay = Sim_time.us batch_delay;
         pipeline;
-        faults;
+        nemesis = { Ci_faults.seed; faults };
         trace = ring;
       }
     in
@@ -544,12 +522,6 @@ let load_cmd =
       reads cas ranges range_span population sessions lease_us lease_skew_us
       duration warmup seed =
     let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let live_protocol =
-      match protocol with
-      | Runner.Onepaxos -> Some Live.Onepaxos
-      | Runner.Multipaxos -> Some Live.Multipaxos
-      | _ -> None
-    in
     let bad =
       if replicas < 2 then invalid "--replicas must be >= 2"
       else if clients < 1 then invalid "--clients must be >= 1"
@@ -563,15 +535,11 @@ let load_cmd =
       else if lease_us < 0 then invalid "--lease-us must be >= 0"
       else if lease_us > 0 && lease_skew_us >= lease_us then
         invalid "--lease-skew-us must be < --lease-us"
-      else if
-        lease_us > 0
-        && (match protocol with
-           | Runner.Onepaxos | Runner.Multipaxos -> false
-           | _ -> true)
+      else if lease_us > 0 && not (Ci_consensus.Protocol.recoverable protocol)
       then invalid "--lease-us requires 1paxos or multipaxos"
       else if duration < 1 then invalid "--duration-ms must be >= 1"
       else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else if backend = `Live && live_protocol = None then
+      else if backend = `Live && not (Ci_consensus.Protocol.recoverable protocol) then
         invalid "--backend live supports 1paxos and multipaxos only"
       else None
     in
@@ -619,7 +587,6 @@ let load_cmd =
          then 0
          else 1
        | `Live ->
-         let protocol = Option.get live_protocol in
          let spec =
            {
              (Live.default_spec ~protocol) with
@@ -868,11 +835,6 @@ let nemesis_cmd =
            | `Live ->
              (match protocol with
               | Runner.Onepaxos | Runner.Multipaxos ->
-                let protocol =
-                  match protocol with
-                  | Runner.Onepaxos -> Live.Onepaxos
-                  | _ -> Live.Multipaxos
-                in
                 let spec =
                   {
                     (Live.default_spec ~protocol) with
@@ -1103,19 +1065,6 @@ let figures_cmd =
 let explore_cmd =
   let module Trace = Ci_explore.Trace in
   let module Search = Ci_explore.Search in
-  let protocol_conv =
-    let parse s =
-      match Trace.protocol_of_name s with
-      | Some p -> Ok p
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown protocol %S (1paxos|multipaxos|2pc|mencius|cheappaxos)"
-                s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Trace.protocol_name p))
-  in
   let protocol =
     Arg.(
       value & opt protocol_conv Trace.Onepaxos

@@ -1,19 +1,12 @@
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
+type protocol = Ci_consensus.Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
-let protocol_name = function
-  | Onepaxos -> "1paxos"
-  | Multipaxos -> "multipaxos"
-  | Twopc -> "2pc"
-  | Mencius -> "mencius"
-  | Cheappaxos -> "cheappaxos"
-
-let protocol_of_name = function
-  | "1paxos" | "onepaxos" -> Some Onepaxos
-  | "multipaxos" -> Some Multipaxos
-  | "2pc" | "twopc" -> Some Twopc
-  | "mencius" -> Some Mencius
-  | "cheappaxos" -> Some Cheappaxos
-  | _ -> None
+let protocol_name = Ci_consensus.Protocol.name
+let protocol_of_name = Ci_consensus.Protocol.of_string
 
 type config = {
   protocol : protocol;

@@ -13,13 +13,18 @@
     config header) so counterexamples can be read, edited and diffed by
     hand. *)
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
+type protocol = Ci_consensus.Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
 val protocol_name : protocol -> string
-(** CLI-facing name: "1paxos", "multipaxos", "2pc", "mencius",
-    "cheappaxos" (matching the [run] subcommand's vocabulary). *)
+(** {!Ci_consensus.Protocol.name}. *)
 
 val protocol_of_name : string -> protocol option
+(** {!Ci_consensus.Protocol.of_string}. *)
 
 type config = {
   protocol : protocol;

@@ -6,18 +6,13 @@ module Wire = Ci_consensus.Wire
 module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
 module Event = Ci_obs.Event
+module Protocol = Ci_consensus.Protocol
 
 (* How long an explorer client waits for a [Reply] before retrying on
    the next replica. Only relative order within one node's timer queue
    matters to the explorer; 2 ms sits safely above every protocol
    timeout so a replica's own failure detector outruns client churn. *)
 let retry_delay = Sim_time.ms 2
-
-type replica = {
-  r_handle : src:int -> Wire.t -> unit;
-  r_digest : unit -> int;
-  r_view : unit -> Wire.value Consistency.replica_view;
-}
 
 type client = {
   c_id : int;
@@ -30,7 +25,7 @@ type client = {
   mutable c_env : Wire.t Node_env.t option; (* set once at creation *)
 }
 
-type role = Replica of replica | Client of client
+type role = Replica of Protocol.replica | Client of client
 
 type t = {
   cfg : Trace.config;
@@ -78,7 +73,7 @@ let send t ~src ~dst msg =
 
 let rec dispatch t i ~src msg =
   match t.roles.(i) with
-  | Replica r -> r.r_handle ~src msg
+  | Replica r -> Protocol.handler r ~src msg
   | Client c -> (
     match msg with
     | Wire.Reply { req_id; result = _ } -> (
@@ -161,86 +156,19 @@ let env t i =
       (fun ~phase -> emit_kind t ~core:i ~label:phase (Event.Phase { node = i; phase }));
   }
 
+(* Every protocol keeps its default config; only the 1Paxos
+   stale-adoption fixture is configurable. *)
 let make_replicas t =
-  let module C = Ci_consensus in
-  let replicas = Array.init t.cfg.Trace.n_replicas (fun i -> i) in
-  let core_view core () = C.Replica_core.view core in
-  match t.cfg.Trace.protocol with
-  | Trace.Onepaxos ->
-    let config =
-      {
-        (C.Onepaxos.default_config ~replicas) with
-        C.Onepaxos.unsafe_stale_adoption = t.cfg.Trace.unsafe_stale_adoption;
-      }
-    in
-    let rs =
-      Array.map (fun i -> C.Onepaxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Onepaxos.handle r ~src m);
-          r_digest = (fun () -> C.Onepaxos.digest r);
-          r_view = core_view (C.Onepaxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Onepaxos.start rs)
-  | Trace.Multipaxos ->
-    let config = C.Multipaxos.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Multipaxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Multipaxos.handle r ~src m);
-          r_digest = (fun () -> C.Multipaxos.digest r);
-          r_view = core_view (C.Multipaxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Multipaxos.start rs)
-  | Trace.Twopc ->
-    let config = C.Twopc.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Twopc.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Twopc.handle r ~src m);
-          r_digest = (fun () -> C.Twopc.digest r);
-          r_view = core_view (C.Twopc.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> ())
-  | Trace.Mencius ->
-    let config = C.Mencius.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Mencius.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Mencius.handle r ~src m);
-          r_digest = (fun () -> C.Mencius.digest r);
-          r_view = core_view (C.Mencius.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> ())
-  | Trace.Cheappaxos ->
-    let config = C.Cheap_paxos.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Cheap_paxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Cheap_paxos.handle r ~src m);
-          r_digest = (fun () -> C.Cheap_paxos.digest r);
-          r_view = core_view (C.Cheap_paxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Cheap_paxos.start rs)
+  let replicas = Array.init t.cfg.Trace.n_replicas Fun.id in
+  let tuning =
+    {
+      Protocol.default_tuning with
+      Protocol.unsafe_stale_adoption = t.cfg.Trace.unsafe_stale_adoption;
+    }
+  in
+  Array.map
+    (fun i -> Protocol.create t.cfg.Trace.protocol tuning ~replicas ~env:(env t i))
+    replicas
 
 let create ?ring cfg =
   (match Trace.validate_config cfg with
@@ -265,7 +193,7 @@ let create ?ring cfg =
       ring;
     }
   in
-  let replicas, start = make_replicas t in
+  let replicas = make_replicas t in
   let clients =
     Array.init cfg.Trace.n_clients (fun k ->
         let id = cfg.Trace.n_replicas + k in
@@ -292,8 +220,8 @@ let create ?ring cfg =
         c.c_env <- Some (env t id);
         Client c)
   in
-  t.roles <- Array.append replicas clients;
-  start ();
+  t.roles <- Array.append (Array.map (fun r -> Replica r) replicas) clients;
+  Array.iter Protocol.start replicas;
   Array.iter (function Client c -> client_issue t c | Replica _ -> ()) t.roles;
   for i = 0 to n - 1 do
     drain_self t i
@@ -430,7 +358,7 @@ let digest t =
   let role_digests =
     Array.map
       (function
-        | Replica r -> r.r_digest ()
+        | Replica r -> Protocol.digest r
         | Client c ->
           Hashtbl.hash_param 1000 1000
             ( c.c_next, c.c_current, c.c_target,
@@ -469,22 +397,17 @@ let acked t =
 
 let views t =
   Array.to_list t.roles
-  |> List.filter_map (function Replica r -> Some (r.r_view ()) | Client _ -> None)
+  |> List.filter_map (function
+       | Replica r -> Some (Ci_consensus.Replica_core.view (Protocol.replica_core r))
+       | Client _ -> None)
 
 (* Safety, checked at every explored state: agreement, non-triviality,
-   state convergence, session integrity — exactly the runner's
-   end-of-run predicate, with Mencius skip placeholders exempt from
-   non-triviality (they are proposed by the protocol, not a client). *)
+   state convergence, session integrity — exactly the runners'
+   end-of-run audit, over the world's incrementally kept issued table. *)
 let check t =
-  let proposed (v : Wire.value) =
-    Ci_consensus.Mencius.is_skip_value v
-    ||
-    match Hashtbl.find_opt t.issued (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  Consistency.check ~equal:Wire.value_equal ~proposed ~acked:(acked t)
-    ~key_of:Wire.value_key (views t)
+  fst
+    (Ci_consensus.Audit.check ~issued:(Hashtbl.find_opt t.issued) ~acked:(acked t)
+       ~views:[ views t ] ~txns:[])
 
 let all_acked t =
   Array.for_all

@@ -10,6 +10,8 @@ type fault =
   | Delay of { src : int; dst : int; from_ : int; until_ : int; extra : int }
   | Partition of { groups : int list list; from_ : int; until_ : int }
 
+let paper_slowdown = 9.
+
 type t = { seed : int; faults : fault list }
 
 let empty = { seed = 0; faults = [] }

@@ -34,7 +34,10 @@ type fault =
       (** Stop [node] during the window; resume with state intact. *)
   | Slow of { core : int; from_ : int; until_ : int; factor : float }
       (** Multiply the cost of all work on [core] by [factor]
-          (simulator only — the live runtime rejects it). *)
+          (simulator only — the live runtime rejects it). The paper's
+          slow core is [factor = ]{!paper_slowdown}; a crashed core,
+          the limit case, is [factor = infinity]: no progress during
+          the window. *)
   | Drop of { src : int; dst : int; from_ : int; until_ : int; p : float }
       (** Lose each [src]->[dst] message with probability [p]. *)
   | Duplicate of { src : int; dst : int; from_ : int; until_ : int; p : float }
@@ -44,6 +47,11 @@ type fault =
           (FIFO order is preserved). *)
   | Partition of { groups : int list list; from_ : int; until_ : int }
       (** Cut every link between nodes in different groups. *)
+
+val paper_slowdown : float
+(** The calibrated factor for "8 CPU-intensive processes sharing the
+    core" (the paper's Section 2.2 / 7.6 fault): the victim gets
+    roughly 1/9 of the cycles, so 9. *)
 
 type t = { seed : int; faults : fault list }
 (** A schedule: the faults plus the seed feeding every probabilistic

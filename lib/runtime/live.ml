@@ -10,10 +10,17 @@ module Run_stats = Ci_workload.Run_stats
 module Metrics = Ci_obs.Metrics
 module Summary = Ci_stats.Summary
 module Shard = Ci_consensus.Shard
-module Twopc = Ci_consensus.Twopc
 module Atomicity = Ci_rsm.Atomicity
+module Protocol = Ci_consensus.Protocol
+module Deployment = Ci_workload.Deployment
 
-type protocol = Onepaxos | Multipaxos
+type protocol = Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+
 type transport = Spsc | Socket
 
 type spec = {
@@ -35,7 +42,7 @@ type spec = {
   outbox_cap : int;
   lease : int;
   lease_skew : int;
-  open_loop : Ci_workload.Runner.open_loop option;
+  open_loop : Deployment.open_loop option;
   nemesis : Ci_faults.t;
 }
 
@@ -63,12 +70,12 @@ let default_spec ~protocol =
     nemesis = Ci_faults.empty;
   }
 
-let protocol_of_string = function
-  | "onepaxos" | "1paxos" -> Some Onepaxos
-  | "multipaxos" | "multi-paxos" -> Some Multipaxos
-  | _ -> None
+let protocol_of_string s =
+  match Protocol.of_string s with
+  | Some (Onepaxos | Multipaxos as p) -> Some p
+  | Some (Twopc | Mencius | Cheappaxos) | None -> None
 
-let protocol_name = function Onepaxos -> "1paxos" | Multipaxos -> "multipaxos"
+let protocol_name = Protocol.name
 
 let transport_of_string = function
   | "spsc" | "rings" -> Some Spsc
@@ -154,12 +161,46 @@ type node_state = {
          by the domain itself just before it exits *)
 }
 
+(* Failure-detection timeouts are wall-clock here: commits take
+   microseconds, so these fire only when something is genuinely wedged
+   — never because a GC pause or a scheduling gap delayed one reply. *)
+let ms = Sim_time.ms
+
+let floors =
+  { Protocol.suspect = ms 200; check_period = ms 50; pu = ms 100; election = ms 150 }
+
+(* The live runtime's view of the shared deployment description. *)
+let deployment spec =
+  {
+    Deployment.protocol = spec.protocol;
+    groups = spec.groups;
+    replicas = spec.n_replicas;
+    clients = spec.n_clients;
+    joint = false;
+    cross_shard_ratio = spec.cross_shard_ratio;
+    tuning =
+      {
+        Protocol.default_tuning with
+        Protocol.lease = spec.lease;
+        lease_skew = spec.lease_skew;
+        floors;
+      };
+    timeout = spec.client_timeout;
+    think = spec.think;
+    read_ratio = spec.read_ratio;
+    key_space = spec.key_space;
+    max_requests = None;
+    open_loop = spec.open_loop;
+    nemesis = spec.nemesis;
+  }
+
 let validate spec =
+  if not (Protocol.recoverable spec.protocol) then
+    invalid_arg
+      (Printf.sprintf "Live.run: the live runtime runs 1paxos and multipaxos, not %s"
+         (Protocol.name spec.protocol));
   if spec.n_replicas < 2 then invalid_arg "Live.run: need >= 2 replicas";
-  if spec.n_clients < 1 then invalid_arg "Live.run: need >= 1 client";
-  if spec.groups < 1 then invalid_arg "Live.run: groups must be >= 1";
-  if not (spec.cross_shard_ratio >= 0. && spec.cross_shard_ratio <= 1.) then
-    invalid_arg "Live.run: cross_shard_ratio must be in [0, 1]";
+  Deployment.validate ~who:"Live.run" (deployment spec);
   if spec.duration_s <= 0. then invalid_arg "Live.run: duration_s must be > 0";
   if spec.drain_s < 0. then invalid_arg "Live.run: drain_s must be >= 0";
   if spec.queue_slots < 1 then invalid_arg "Live.run: queue_slots must be >= 1";
@@ -170,16 +211,7 @@ let validate spec =
     invalid_arg
       (Printf.sprintf "Live.run: slot_size must be a power of two >= %d"
          Spsc_bytes.min_slot_size);
-  if spec.client_timeout <= 0 then
-    invalid_arg "Live.run: client_timeout must be > 0";
-  if spec.think < 0 then invalid_arg "Live.run: think must be >= 0";
-  if not (spec.read_ratio >= 0. && spec.read_ratio <= 1.) then
-    invalid_arg "Live.run: read_ratio must be in [0, 1]";
-  if spec.key_space < 1 then invalid_arg "Live.run: key_space must be >= 1";
   if spec.outbox_cap < 1 then invalid_arg "Live.run: outbox_cap must be >= 1";
-  if spec.lease < 0 then invalid_arg "Live.run: lease must be >= 0";
-  if spec.lease > 0 && spec.lease_skew >= spec.lease then
-    invalid_arg "Live.run: lease_skew must be < lease";
   if spec.transport = Socket then begin
     if spec.groups > 1 then
       invalid_arg "Live.run: the socket transport does not shard yet (groups must be 1)";
@@ -192,17 +224,10 @@ let validate spec =
         "Live.run: the open-loop driver is in-process only (socket children \
          run closed-loop clients)"
   end;
-  if not (Ci_faults.is_empty spec.nemesis) then begin
-    (match
-       Ci_faults.validate ~n_nodes:(spec.groups * spec.n_replicas) spec.nemesis
-     with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Live.run: nemesis: " ^ e));
-    if Ci_faults.slows spec.nemesis <> [] then
-      invalid_arg
-        "Live.run: nemesis Slow faults are simulator-only (the live runtime \
-         cannot throttle a real core); use Pause instead"
-  end
+  if Ci_faults.slows spec.nemesis <> [] then
+    invalid_arg
+      "Live.run: nemesis Slow faults are simulator-only (the live runtime \
+       cannot throttle a real core); use Pause instead"
 
 let env_for st ~t0 ~seed =
   let now () = Clock.now_ns () - t0 in
@@ -340,42 +365,6 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       end
   done
 
-type replica = Op of Ci_consensus.Onepaxos.t | Mp of Ci_consensus.Multipaxos.t
-
-type stable_snap =
-  | St_op of Ci_consensus.Onepaxos.stable
-  | St_mp of Ci_consensus.Multipaxos.stable
-
-let replica_core = function
-  | Op p -> Ci_consensus.Onepaxos.replica_core p
-  | Mp p -> Ci_consensus.Multipaxos.replica_core p
-
-(* Failure-detection timeouts are wall-clock here: commits take
-   microseconds, so these fire only when something is genuinely wedged
-   — never because a GC pause or a scheduling gap delayed one reply. *)
-let ms = Sim_time.ms
-
-let op_cfg ~spec ~replicas () =
-  let d = Ci_consensus.Onepaxos.default_config ~replicas in
-  {
-    d with
-    Ci_consensus.Onepaxos.acceptor_timeout = ms 200;
-    prepare_timeout = ms 200;
-    check_period = ms 50;
-    pu_timeout = ms 100;
-    lease = spec.lease;
-    lease_skew = spec.lease_skew;
-  }
-
-let mp_cfg ~spec ~replicas () =
-  let d = Ci_consensus.Multipaxos.default_config ~replicas in
-  {
-    d with
-    Ci_consensus.Multipaxos.election_timeout = ms 150;
-    lease = spec.lease;
-    lease_skew = spec.lease_skew;
-  }
-
 let fresh_state ~id ~tr ~nem_links ~nem_seed =
   {
     id;
@@ -391,42 +380,58 @@ let fresh_state ~id ~tr ~nem_links ~nem_seed =
     alloc_bytes = 0.;
   }
 
-(* Publish the endpoint-side counters under the metric keys both
-   backends share; [full_by_kind] answers "which message kind hit the
+(* Publish the endpoint-side counters, one [(blocked, full_by_kind)]
+   pair per node; [full_by_kind] answers "which message kind hit the
    full ring" without a perf run. *)
-let record_ring_metrics metrics states =
+let record_ring_metrics metrics per_node =
   let full_kinds = Hashtbl.create 8 in
-  Array.iter
-    (fun st ->
-      Metrics.set_int metrics
-        (Printf.sprintf "live.node%d.full_ring_sends" st.id)
-        (Transport.blocked st.tr);
+  Array.iteri
+    (fun id (blocked, kinds) ->
+      Metrics.set_int metrics (Printf.sprintf "live.node%d.full_ring_sends" id) blocked;
       List.iter
         (fun (k, c) ->
           Hashtbl.replace full_kinds k
             (c + Option.value (Hashtbl.find_opt full_kinds k) ~default:0))
-        (Transport.full_by_kind st.tr))
-    states;
+        kinds)
+    per_node;
   Hashtbl.iter
     (fun k c -> Metrics.set_int metrics ("live.ring.full." ^ k) c)
     full_kinds
 
+(* Allocation accounting covers the protocol-side nodes (replicas and
+   routers, [0 .. client_base-1]): the event-loop hot path the Gc guard
+   pins. *)
+let alloc_words_per_op ~client_base alloc_bytes ops =
+  let bytes = ref 0. in
+  for i = 0 to client_base - 1 do
+    bytes := !bytes +. alloc_bytes i
+  done;
+  let words = !bytes /. float_of_int (Sys.word_size / 8) in
+  if ops > 0 then words /. float_of_int ops else 0.
+
+(* 1Paxos counts applied [LeaderChange] entries, identical on every
+   replica that saw them: take the max. Multi-Paxos counts the
+   elections each replica initiated: take the sum. *)
+let change_counts protocol counts =
+  let max_of f = Array.fold_left (fun acc c -> max acc (f c)) 0 counts in
+  let sum_of f = Array.fold_left (fun acc c -> acc + f c) 0 counts in
+  ( (match protocol with Multipaxos -> sum_of fst | _ -> max_of fst),
+    max_of snd )
+
+(* Wall-clock commit rates over the measured phase, 100 ms buckets
+   (full buckets only) — the live twin of [Runner.result.timeline], so
+   failover figures can overlay both backends. *)
+let timeline ~t_quiesce completions =
+  Deployment.timeline ~bucket:100_000_000 ~until_:t_quiesce completions
+
 (* ---------- in-process runner: domains over byte rings ---------- *)
 
 let run_inproc spec =
-  let n_replicas = spec.n_replicas and n_clients = spec.n_clients in
-  (* Group-major node layout, like the sim runner: replicas of group g
-     are nodes [g*R .. (g+1)*R-1], routers (sharded runs only) come
-     next, clients last. *)
-  let n_groups = spec.groups in
-  let total_replicas = n_groups * n_replicas in
-  let n_routers = if n_groups = 1 then 0 else n_groups in
-  let client_base = total_replicas + n_routers in
-  let n = client_base + n_clients in
-  let replica_ids = Array.init total_replicas Fun.id in
-  let router_ids = Array.init n_routers (fun j -> total_replicas + j) in
-  let group_ids g = Array.sub replica_ids (g * n_replicas) n_replicas in
-  let group_of_replica i = i / n_replicas in
+  let d = deployment spec in
+  let n_clients = spec.n_clients in
+  let total_replicas = Deployment.total_replicas d in
+  let client_base = Deployment.client_id d 0 in
+  let n = Deployment.n_nodes d in
   (* The mesh: mesh.(dst).(src) carries src -> dst as encoded bytes. *)
   let mesh =
     Transport.rings_mesh ~n ~slots:spec.queue_slots ~slot_size:spec.slot_size
@@ -463,59 +468,40 @@ let run_inproc spec =
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
   let env_of id = env_for states.(id) ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
-  let replicas =
-    Array.init total_replicas (fun i ->
-        let env = env_of i in
-        let replicas = group_ids (group_of_replica i) in
-        match spec.protocol with
-        | Onepaxos ->
-          Op (Ci_consensus.Onepaxos.create ~env ~config:(op_cfg ~spec ~replicas ()))
-        | Multipaxos ->
-          Mp (Ci_consensus.Multipaxos.create ~env ~config:(mp_cfg ~spec ~replicas ())))
+  (* Each client and driver runs in its own domain with its own sink;
+     the sinks are merged after the joins. The open-loop measurement
+     window is the whole measured phase. *)
+  let client_stats =
+    Array.init n_clients (fun _ -> Run_stats.create ~bucket:(ms 10))
   in
-  (* Sharded runs put a 2PC participant in front of each group's entry
-     replica — same wrapping as the sim runner; everything the
-     participant does not consume falls through to the replica. *)
-  let participants =
-    Array.init
-      (if n_groups = 1 then 0 else n_groups)
-      (fun g -> Twopc.Participant.create ~env:(env_of (g * n_replicas)))
+  let duration_ns = int_of_float (spec.duration_s *. 1e9) in
+  let load_sinks =
+    if spec.open_loop = None then [||]
+    else
+      Array.init n_clients (fun _ ->
+          Ci_load.Load_stats.create ~from_:0 ~until_:duration_ns)
   in
-  let base_handler = function
-    | Op p -> Ci_consensus.Onepaxos.handle p
-    | Mp p -> Ci_consensus.Multipaxos.handle p
+  let nodes =
+    Deployment.build d ~replica_env:env_of ~env:env_of
+      ~stats:(Array.get client_stats) ~sink:(Array.get load_sinks)
+      ~stop_at:duration_ns
   in
-  let wrap_handler i h =
-    if n_groups > 1 && i mod n_replicas = 0 then begin
-      let p = participants.(group_of_replica i) in
-      fun ~src msg -> if Twopc.Participant.handle p ~src msg then () else h ~src msg
-    end
-    else h
-  in
+  for i = 0 to total_replicas - 1 do
+    states.(i).handler <- Deployment.replica_handler d nodes i
+  done;
   Array.iteri
-    (fun i r -> states.(i).handler <- wrap_handler i (base_handler r))
-    replicas;
-  (* Routers: hash single-shard commands to their group's entry replica,
-     run cross-shard multi-puts as 2PC transactions. *)
-  let routers =
-    Array.init n_routers (fun j ->
-        let config =
-          {
-            Shard.Router.groups = n_groups;
-            leader_of = Array.init n_groups (fun g -> g * n_replicas);
-            retry_timeout = spec.client_timeout;
-          }
-        in
-        let r =
-          Shard.Router.create ~env:(env_of (total_replicas + j)) ~config
-        in
-        states.(total_replicas + j).handler <-
-          (fun ~src msg -> Shard.Router.handle r ~src msg);
-        r)
-  in
+    (fun j r -> states.(Deployment.router_id d j).handler <- Shard.Router.handle r)
+    nodes.Deployment.routers;
+  for k = 0 to n_clients - 1 do
+    (* Quiesced clients stop consuming replies, so they issue nothing
+       new and record nothing outside the measured phase. *)
+    let h = Deployment.client_handler nodes k in
+    states.(client_base + k).handler <-
+      (fun ~src msg -> if not (Atomic.get quiesce) then h ~src msg)
+  done;
   (* Nemesis crash/pause timelines, attached per affected replica. The
      closures run inside the replica's own domain (step 0 of its event
-     loop); [replicas.(i)] rewritten by a restart is read by the main
+     loop); the replica slot a restart rewrites is read by the main
      domain only after the joins. *)
   if not (Ci_faults.is_empty spec.nemesis) then begin
     let per_node = Hashtbl.create 4 in
@@ -527,7 +513,7 @@ let run_inproc spec =
       (fun c ->
         add c.Ci_faults.c_node c.Ci_faults.c_at `Crash;
         Option.iter
-          (fun d -> add c.c_node (c.c_at + d) `Restart)
+          (fun down -> add c.c_node (c.c_at + down) `Restart)
           c.Ci_faults.c_restart)
       (Ci_faults.crashes spec.nemesis);
     List.iter
@@ -538,14 +524,11 @@ let run_inproc spec =
     Hashtbl.iter
       (fun i trs ->
         let st = states.(i) in
-        let snap = ref None in
         let on_crash () =
           (* The durable registers survive (modeled fsync); the mailbox,
              parked sends, armed timers and the handler die with the
              process. *)
-          (match replicas.(i) with
-          | Op p -> snap := Some (St_op (Ci_consensus.Onepaxos.stable p))
-          | Mp p -> snap := Some (St_mp (Ci_consensus.Multipaxos.stable p)));
+          Deployment.crash nodes i;
           Queue.clear st.selfq;
           Transport.clear_outboxes st.tr;
           st.timers <- Timer_wheel.create ();
@@ -553,122 +536,20 @@ let run_inproc spec =
         in
         let on_restart () =
           st.timers <- Timer_wheel.create ();
-          let env = env_of i in
-          let group = group_ids (group_of_replica i) in
-          let r =
-            match !snap with
-            | Some (St_op s) ->
-              Op
-                (Ci_consensus.Onepaxos.recover ~env
-                   ~config:(op_cfg ~spec ~replicas:group ())
-                   ~stable:s)
-            | Some (St_mp s) ->
-              Mp
-                (Ci_consensus.Multipaxos.recover ~env
-                   ~config:(mp_cfg ~spec ~replicas:group ())
-                   ~stable:s)
-            | None -> assert false
-          in
-          replicas.(i) <- r;
-          st.handler <- wrap_handler i (base_handler r)
+          Deployment.restart d nodes i (env_of i);
+          st.handler <- Deployment.replica_handler d nodes i
         in
         st.nem <-
           Some
             { transitions = List.sort compare trs; mode = Up; on_crash; on_restart })
       per_node
   end;
-  let client_stats =
-    Array.init n_clients (fun _ -> Run_stats.create ~bucket:(ms 10))
-  in
-  let policy =
-    {
-      (Client.default_policy
-         ~targets:(if n_routers = 0 then replica_ids else router_ids))
-      with
-      Client.timeout = spec.client_timeout;
-      think = spec.think;
-      read_ratio = spec.read_ratio;
-      cross_shard_ratio = spec.cross_shard_ratio;
-      groups = n_groups;
-      key_space = spec.key_space;
-    }
-  in
-  let clients =
-    if spec.open_loop <> None then [||]
-    else
-      Array.init n_clients (fun i ->
-          let policy =
-            if n_routers > 0 then
-              { policy with Client.primary = i mod n_routers }
-            else policy
-          in
-          Client.create ~env:(env_of (client_base + i)) ~policy
-            ~stats:client_stats.(i))
-  in
-  (* Open-loop drivers: one per client node, each with its own sink
-     (each runs in its own domain; the sinks are merged after the
-     joins). The measurement window is the whole measured phase. *)
-  let duration_ns = int_of_float (spec.duration_s *. 1e9) in
-  let load_sinks, drivers =
-    match spec.open_loop with
-    | None -> ([||], [||])
-    | Some ol ->
-      let sinks =
-        Array.init n_clients (fun _ ->
-            Ci_load.Load_stats.create ~from_:0 ~until_:duration_ns)
-      in
-      let drivers =
-        Array.init n_clients (fun i ->
-            let config =
-              {
-                Ci_load.Open_client.targets =
-                  (if n_routers = 0 then replica_ids else router_ids);
-                primary = (if n_routers > 0 then i mod n_routers else 0);
-                failover = true;
-                timeout = spec.client_timeout;
-                arrival = ol.Ci_workload.Runner.arrival;
-                key_dist = ol.Ci_workload.Runner.key_dist;
-                key_space = ol.Ci_workload.Runner.key_space;
-                mix = ol.Ci_workload.Runner.mix;
-                range_span = ol.Ci_workload.Runner.range_span;
-                population = ol.Ci_workload.Runner.population;
-                sessions = ol.Ci_workload.Runner.sessions;
-                relaxed_reads = false;
-                stop_at = duration_ns;
-              }
-            in
-            Ci_load.Open_client.create
-              ~env:(env_of (client_base + i))
-              ~config ~stats:sinks.(i))
-      in
-      (sinks, drivers)
-  in
-  Array.iteri
-    (fun i c ->
-      (* Quiesced clients stop consuming replies, so they issue nothing
-         new and record nothing outside the measured phase. *)
-      states.(client_base + i).handler <-
-        (fun ~src msg ->
-          if not (Atomic.get quiesce) then Client.handle c ~src msg))
-    clients;
-  Array.iteri
-    (fun i d ->
-      states.(client_base + i).handler <-
-        (fun ~src msg ->
-          if not (Atomic.get quiesce) then Ci_load.Open_client.handle d ~src msg))
-    drivers;
   let domains =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
             let a0 = Gc.allocated_bytes () in
-            (if i < total_replicas then
-               match replicas.(i) with
-               | Op p -> Ci_consensus.Onepaxos.start p
-               | Mp p -> Ci_consensus.Multipaxos.start p
-             else if i >= client_base then
-               if Array.length drivers > 0 then
-                 Ci_load.Open_client.start drivers.(i - client_base)
-               else Client.start clients.(i - client_base));
+            (if i < total_replicas then Protocol.start nodes.Deployment.replicas.(i)
+             else if i >= client_base then Deployment.start_client nodes (i - client_base));
             event_loop states.(i) ~t0 ~stop ~m_work;
             (* [Gc.allocated_bytes] is domain-local; the delta is what
                this node's whole lifetime allocated, written before the
@@ -704,18 +585,14 @@ let run_inproc spec =
     |> Array.of_list
   in
   let retries =
-    Array.fold_left (fun acc c -> acc + Client.retries c) 0 clients
+    Array.fold_left (fun acc c -> acc + Client.retries c) 0 nodes.Deployment.clients
     + (match load with Some s -> Ci_load.Load_stats.retries s | None -> 0)
   in
   let leader_changes, acceptor_changes =
-    Array.fold_left
-      (fun (lc, ac) r ->
-        match r with
-        | Op p ->
-          ( max lc (Ci_consensus.Onepaxos.leader_changes p),
-            max ac (Ci_consensus.Onepaxos.acceptor_changes p) )
-        | Mp p -> (lc + Ci_consensus.Multipaxos.elections p, ac))
-      (0, 0) replicas
+    change_counts spec.protocol
+      (Array.map
+         (fun r -> (Protocol.leader_changes r, Protocol.acceptor_changes r))
+         nodes.Deployment.replicas)
   in
   let queues_total =
     {
@@ -732,162 +609,18 @@ let run_inproc spec =
           0 states;
     }
   in
-  (* Consistency: same construction as Runner.run, over live views. *)
-  let proposed_tbl = Hashtbl.create 4096 in
-  Array.iter
-    (fun c ->
-      let id = Client.node_id c in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Client.issued c))
-    clients;
-  Array.iter
-    (fun d ->
-      let id = Ci_load.Open_client.node_id d in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Ci_load.Open_client.issued d))
-    drivers;
-  Array.iteri
-    (fun g p ->
-      let id = g * n_replicas in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Twopc.Participant.issued p))
-    participants;
-  let proposed (v : Wire.value) =
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked =
-    (Array.to_list clients |> List.concat_map Client.acked_writes)
-    @ (Array.to_list drivers
-      |> List.concat_map Ci_load.Open_client.acked_writes)
-  in
-  let views =
-    Array.to_list (Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
-  in
-  let consistency, atomicity =
-    if n_groups = 1 then
-      ( Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-          ~key_of:Wire.value_key views,
-        None )
-    else begin
-      (* Per-group checks and cross-shard atomicity, exactly as in
-         Runner.run: acked single-shard writes go to their owning
-         group's session check, acked cross-shard writes to the
-         atomicity checker. *)
-      let cmd_of key = Hashtbl.find_opt proposed_tbl key in
-      let is_cross key =
-        match cmd_of key with
-        | Some cmd -> List.length (Shard.groups_of ~groups:n_groups cmd) > 1
-        | None -> false
-      in
-      let cross_acked, single_acked = List.partition is_cross acked in
-      let acked_of g =
-        List.filter
-          (fun key ->
-            match cmd_of key with
-            | Some cmd -> Shard.group_of_cmd ~groups:n_groups cmd = g
-            | None -> false)
-          single_acked
-      in
-      let group_views g = List.filteri (fun i _ -> group_of_replica i = g) views in
-      let reports =
-        List.init n_groups (fun g ->
-            Consistency.check ~equal:Wire.value_equal ~proposed
-              ~acked:(acked_of g) ~key_of:Wire.value_key (group_views g))
-      in
-      let consistency =
-        {
-          Consistency.violations =
-            List.concat_map
-              (fun (r : Consistency.report) -> r.Consistency.violations)
-              reports;
-          checked_instances =
-            List.fold_left
-              (fun a (r : Consistency.report) ->
-                a + r.Consistency.checked_instances)
-              0 reports;
-          checked_replicas =
-            List.fold_left
-              (fun a (r : Consistency.report) -> a + r.Consistency.checked_replicas)
-              0 reports;
-        }
-      in
-      let decided =
-        List.init n_groups (fun g ->
-            let cmds =
-              List.concat_map
-                (fun (rv : Wire.value Consistency.replica_view) ->
-                  List.map
-                    (fun (_, (v : Wire.value)) -> v.Wire.cmd)
-                    rv.Consistency.decisions)
-                (group_views g)
-            in
-            (g, cmds))
-      in
-      let txns =
-        Array.to_list routers |> List.concat_map Shard.Router.txn_reports
-      in
-      (consistency, Some (Atomicity.check ~decided ~txns ~acked:cross_acked))
-    end
-  in
+  let consistency, atomicity = Deployment.audit d nodes in
   let full_ring_sends = Array.map (fun s -> Transport.blocked s.tr) states in
-  record_ring_metrics metrics states;
+  record_ring_metrics metrics
+    (Array.map (fun s -> (Transport.blocked s.tr, Transport.full_by_kind s.tr)) states);
   Metrics.set_int metrics "live.queue.jumbo" (Transport.mesh_jumbo mesh);
-  (* Allocation accounting covers the protocol-side domains (replicas
-     and routers): the event-loop hot path the Gc guard pins. *)
   let alloc_words_per_op =
-    let bytes = ref 0. in
-    for i = 0 to client_base - 1 do
-      bytes := !bytes +. states.(i).alloc_bytes
-    done;
-    let words = !bytes /. float_of_int (Sys.word_size / 8) in
-    if ops > 0 then words /. float_of_int ops else 0.
+    alloc_words_per_op ~client_base (fun i -> states.(i).alloc_bytes) ops
   in
   Metrics.set_float metrics "live.alloc.words_per_op" alloc_words_per_op;
-  if n_groups > 1 then begin
-    let sum f = Array.fold_left (fun a r -> a + f r) 0 routers in
-    Metrics.set_int metrics "live.shard.groups" n_groups;
-    Metrics.set_int metrics "live.shard.forwarded" (sum Shard.Router.forwarded);
-    Metrics.set_int metrics "live.shard.committed" (sum Shard.Router.committed);
-    Metrics.set_int metrics "live.shard.aborted" (sum Shard.Router.aborted)
-  end;
-  let lease_reads =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +
-        match r with
-        | Op p -> Ci_consensus.Onepaxos.lease_reads p
-        | Mp p -> Ci_consensus.Multipaxos.lease_reads p)
-      0 replicas
-  in
-  if spec.lease > 0 then Metrics.set_int metrics "live.lease.reads" lease_reads;
-  (match load with
-  | Some s ->
-    let lp = Ci_load.Load_stats.latency_percentiles s in
-    let sp = Ci_load.Load_stats.service_percentiles s in
-    Metrics.set_int metrics "live.load.issued" (Ci_load.Load_stats.issued s);
-    Metrics.set_int metrics "live.load.completed"
-      (Ci_load.Load_stats.completed s);
-    Metrics.set_int metrics "live.load.rejected"
-      (Ci_load.Load_stats.rejected s);
-    Metrics.set_int metrics "live.load.stale_reads"
-      (Ci_load.Load_stats.stale_reads s);
-    Metrics.set_int metrics "live.load.max_backlog"
-      (Ci_load.Load_stats.max_backlog s);
-    Metrics.set_float metrics "live.load.throughput"
-      (Ci_load.Load_stats.throughput s);
-    Metrics.set_int metrics "live.load.p50" lp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "live.load.p99" lp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "live.load.p999" lp.Ci_load.Load_stats.p999;
-    Metrics.set_int metrics "live.load.service_p50" sp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "live.load.service_p99" sp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "live.load.service_p999" sp.Ci_load.Load_stats.p999
-  | None -> ());
+  Deployment.publish_shard metrics ~prefix:"live." d nodes;
+  let lease_reads = Deployment.lease_reads nodes in
+  Deployment.publish_load metrics ~prefix:"live." d ~lease_reads load;
   Metrics.set_int metrics "live.ops" ops;
   Metrics.set_int metrics "live.retries" retries;
   Metrics.set_int metrics "live.queue.msgs" queues_total.q_msgs;
@@ -904,33 +637,11 @@ let run_inproc spec =
     |> Array.of_list
   in
   Array.sort compare completions;
-  (* Wall-clock commit rates over the measured phase, 100 ms buckets
-     (full buckets only) — the live twin of [Runner.result.timeline],
-     so failover figures can overlay both backends. *)
-  let timeline =
-    let bucket = 100_000_000 in
-    let counts = Array.make (t_quiesce / bucket) 0 in
-    Array.iter
-      (fun t ->
-        let b = t / bucket in
-        if b < Array.length counts then counts.(b) <- counts.(b) + 1)
-      completions;
-    Array.map (fun c -> float_of_int c *. 1e9 /. float_of_int bucket) counts
-  in
   let failover =
-    match Ci_faults.first_fault_at spec.nemesis with
-    | Some fault_at when fault_at >= 0 && fault_at < t_quiesce ->
-      Metrics.set_int metrics "live.faults.dropped"
-        (Array.fold_left (fun acc s -> acc + s.n_fault_dropped) 0 states);
-      Metrics.set_int metrics "live.faults.duplicated"
-        (Array.fold_left (fun acc s -> acc + s.n_fault_duplicated) 0 states);
-      let f =
-        Ci_obs.Failover.analyze ~completions ~from_:0 ~fault_at
-          ~until_:t_quiesce
-      in
-      Ci_obs.Failover.record metrics f;
-      Some f
-    | Some _ | None -> None
+    Deployment.publish_failover metrics ~prefix:"live." d ~until_:t_quiesce
+      ~dropped:(Array.fold_left (fun acc s -> acc + s.n_fault_dropped) 0 states)
+      ~duplicated:(Array.fold_left (fun acc s -> acc + s.n_fault_duplicated) 0 states)
+      ~completions:(fun () -> completions)
   in
   {
     spec;
@@ -942,7 +653,7 @@ let run_inproc spec =
     retries;
     leader_changes;
     acceptor_changes;
-    timeline;
+    timeline = timeline ~t_quiesce completions;
     queues = queues_total;
     full_ring_sends;
     alloc_words_per_op;
@@ -962,7 +673,6 @@ type harvest = {
   h_view : Wire.value Consistency.replica_view option; (* replicas *)
   h_leader_changes : int;
   h_acceptor_changes : int;
-  h_elections : int;
   h_lease_reads : int;
   h_client_node : int; (* clients: env node id *)
   h_issued : (int * Command.t) list;
@@ -984,9 +694,8 @@ type harvest = {
    The parent drives phases with single control bytes ('q' quiesce,
    's' stop); the child answers with its marshalled harvest. *)
 let socket_child spec ~id ~t0 ~fds ~ctl_fd =
-  let n_replicas = spec.n_replicas in
-  let client_base = n_replicas in
-  let replica_ids = Array.init n_replicas Fun.id in
+  let d = deployment spec in
+  let client_base = Deployment.client_id d 0 in
   let tr = Transport.socket_endpoint ~id ~fds ~outbox_cap:spec.outbox_cap in
   let st =
     fresh_state ~id ~tr ~nem_links:None
@@ -1008,74 +717,40 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   in
   let replica =
-    if id < n_replicas then
+    if id < client_base then
       Some
-        (match spec.protocol with
-        | Onepaxos ->
-          Op
-            (Ci_consensus.Onepaxos.create ~env
-               ~config:(op_cfg ~spec ~replicas:replica_ids ()))
-        | Multipaxos ->
-          Mp
-            (Ci_consensus.Multipaxos.create ~env
-               ~config:(mp_cfg ~spec ~replicas:replica_ids ())))
+        (Protocol.create d.Deployment.protocol d.Deployment.tuning
+           ~replicas:(Deployment.group_members d 0) ~env)
     else None
   in
   let stats = Run_stats.create ~bucket:(ms 10) in
   let client =
-    if id >= client_base then begin
-      let policy =
-        {
-          (Client.default_policy ~targets:replica_ids) with
-          Client.timeout = spec.client_timeout;
-          think = spec.think;
-          read_ratio = spec.read_ratio;
-          key_space = spec.key_space;
-        }
-      in
-      Some (Client.create ~env ~policy ~stats)
-    end
+    if id >= client_base then
+      Some
+        (Client.create ~env ~policy:(Deployment.client_policy d (id - client_base)) ~stats)
     else None
   in
-  (match replica with
-  | Some (Op p) -> st.handler <- Ci_consensus.Onepaxos.handle p
-  | Some (Mp p) -> st.handler <- Ci_consensus.Multipaxos.handle p
-  | None -> ());
-  (match client with
-  | Some c ->
-    st.handler <-
-      (fun ~src msg -> if not (Atomic.get quiesce) then Client.handle c ~src msg)
-  | None -> ());
+  Option.iter (fun r -> st.handler <- Protocol.handler r) replica;
+  Option.iter
+    (fun c ->
+      st.handler <-
+        (fun ~src msg -> if not (Atomic.get quiesce) then Client.handle c ~src msg))
+    client;
   let metrics = Metrics.create () in
   let m_work = Metrics.counter metrics "live.events" in
   let a0 = Gc.allocated_bytes () in
   (match replica with
-  | Some (Op p) -> Ci_consensus.Onepaxos.start p
-  | Some (Mp p) -> Ci_consensus.Multipaxos.start p
+  | Some r -> Protocol.start r
   | None -> Option.iter Client.start client);
   event_loop ~ctl st ~t0 ~stop ~m_work;
   st.alloc_bytes <- Gc.allocated_bytes () -. a0;
   let harvest =
     {
       h_view =
-        Option.map (fun r -> Replica_core.view (replica_core r)) replica;
-      h_leader_changes =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.leader_changes p
-        | _ -> 0);
-      h_acceptor_changes =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.acceptor_changes p
-        | _ -> 0);
-      h_elections =
-        (match replica with
-        | Some (Mp p) -> Ci_consensus.Multipaxos.elections p
-        | _ -> 0);
-      h_lease_reads =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.lease_reads p
-        | Some (Mp p) -> Ci_consensus.Multipaxos.lease_reads p
-        | None -> 0);
+        Option.map (fun r -> Replica_core.view (Protocol.replica_core r)) replica;
+      h_leader_changes = Option.fold ~none:0 ~some:Protocol.leader_changes replica;
+      h_acceptor_changes = Option.fold ~none:0 ~some:Protocol.acceptor_changes replica;
+      h_lease_reads = Option.fold ~none:0 ~some:Protocol.lease_reads replica;
       h_client_node =
         (match client with Some c -> Client.node_id c | None -> -1);
       h_issued = (match client with Some c -> Client.issued c | None -> []);
@@ -1098,9 +773,9 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   flush oc
 
 let run_socket spec =
-  let n_replicas = spec.n_replicas and n_clients = spec.n_clients in
-  let client_base = n_replicas in
-  let n = n_replicas + n_clients in
+  let d = deployment spec in
+  let client_base = Deployment.client_id d 0 in
+  let n = Deployment.n_nodes d in
   (* One stream socketpair per unordered pair of nodes, plus a control
      pair per node. All created before any fork, so every process
      inherits exactly the descriptors it needs and closes the rest. *)
@@ -1188,12 +863,8 @@ let run_socket spec =
     List.fold_left (fun acc h -> acc + h.h_retries) 0 client_harvests
   in
   let leader_changes, acceptor_changes =
-    Array.fold_left
-      (fun (lc, ac) h ->
-        match spec.protocol with
-        | Onepaxos -> (max lc h.h_leader_changes, max ac h.h_acceptor_changes)
-        | Multipaxos -> (lc + h.h_elections, ac))
-      (0, 0) harvests
+    change_counts spec.protocol
+      (Array.map (fun h -> (h.h_leader_changes, h.h_acceptor_changes)) harvests)
   in
   let queues_total =
     {
@@ -1207,52 +878,26 @@ let run_socket spec =
         Array.fold_left (fun acc h -> acc + h.h_outbox_dropped) 0 harvests;
     }
   in
-  let proposed_tbl = Hashtbl.create 4096 in
+  let issued = Hashtbl.create 4096 in
   List.iter
     (fun h ->
       List.iter
-        (fun (req_id, cmd) ->
-          Hashtbl.replace proposed_tbl (h.h_client_node, req_id) cmd)
+        (fun (req_id, cmd) -> Hashtbl.replace issued (h.h_client_node, req_id) cmd)
         h.h_issued)
     client_harvests;
-  let proposed (v : Wire.value) =
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked = List.concat_map (fun h -> h.h_acked) client_harvests in
-  let views =
-    Array.to_list harvests |> List.filter_map (fun h -> h.h_view)
-  in
-  let consistency =
-    Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-      ~key_of:Wire.value_key views
+  let consistency, _ =
+    Ci_consensus.Audit.check ~issued:(Hashtbl.find_opt issued)
+      ~acked:(List.concat_map (fun h -> h.h_acked) client_harvests)
+      ~views:[ Array.to_list harvests |> List.filter_map (fun h -> h.h_view) ]
+      ~txns:[]
   in
   let metrics = Metrics.create () in
   let m_work = Metrics.counter metrics "live.events" in
   Metrics.add m_work (Array.fold_left (fun acc h -> acc + h.h_events) 0 harvests);
-  let full_kinds = Hashtbl.create 8 in
-  Array.iteri
-    (fun i h ->
-      Metrics.set_int metrics
-        (Printf.sprintf "live.node%d.full_ring_sends" i)
-        h.h_blocked;
-      List.iter
-        (fun (k, c) ->
-          Hashtbl.replace full_kinds k
-            (c + Option.value (Hashtbl.find_opt full_kinds k) ~default:0))
-        h.h_full_kinds)
-    harvests;
-  Hashtbl.iter
-    (fun k c -> Metrics.set_int metrics ("live.ring.full." ^ k) c)
-    full_kinds;
+  record_ring_metrics metrics
+    (Array.map (fun h -> (h.h_blocked, h.h_full_kinds)) harvests);
   let alloc_words_per_op =
-    let bytes = ref 0. in
-    for i = 0 to client_base - 1 do
-      bytes := !bytes +. harvests.(i).h_alloc_bytes
-    done;
-    let words = !bytes /. float_of_int (Sys.word_size / 8) in
-    if ops > 0 then words /. float_of_int ops else 0.
+    alloc_words_per_op ~client_base (fun i -> harvests.(i).h_alloc_bytes) ops
   in
   Metrics.set_float metrics "live.alloc.words_per_op" alloc_words_per_op;
   Metrics.set_int metrics "live.ops" ops;
@@ -1270,16 +915,6 @@ let run_socket spec =
     |> Array.of_list
   in
   Array.sort compare completions;
-  let timeline =
-    let bucket = 100_000_000 in
-    let counts = Array.make (t_quiesce / bucket) 0 in
-    Array.iter
-      (fun t ->
-        let b = t / bucket in
-        if b < Array.length counts then counts.(b) <- counts.(b) + 1)
-      completions;
-    Array.map (fun c -> float_of_int c *. 1e9 /. float_of_int bucket) counts
-  in
   {
     spec;
     cores = Domain.recommended_domain_count ();
@@ -1290,7 +925,7 @@ let run_socket spec =
     retries;
     leader_changes;
     acceptor_changes;
-    timeline;
+    timeline = timeline ~t_quiesce completions;
     queues = queues_total;
     full_ring_sends = Array.map (fun h -> h.h_blocked) harvests;
     alloc_words_per_op;

@@ -23,7 +23,14 @@
     the join, the same {!Ci_rsm.Consistency} checker the simulator uses
     is run over the live replicas' views. *)
 
-type protocol = Onepaxos | Multipaxos
+type protocol = Ci_consensus.Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+(** The shared protocol vocabulary; the live runtime runs [Onepaxos]
+    and [Multipaxos] and {!run} rejects the others. *)
 
 type transport = Spsc | Socket
 
@@ -82,7 +89,7 @@ type spec = {
       (** Clock-rate-skew margin (ns) subtracted from every grant's
           validity at the leader; must be < [lease] when leases are
           on. *)
-  open_loop : Ci_workload.Runner.open_loop option;
+  open_loop : Ci_workload.Deployment.open_loop option;
       (** When set, client domains run open-loop {!Ci_load.Open_client}
           drivers instead of closed-loop clients: arrivals follow the
           offered schedule for the measured phase, latency is measured
@@ -183,10 +190,11 @@ val run : spec -> result
     @raise Invalid_argument on a malformed spec (see field docs). *)
 
 val protocol_of_string : string -> protocol option
-(** Accepts ["onepaxos"], ["1paxos"], ["multipaxos"], ["multi-paxos"]. *)
+(** {!Ci_consensus.Protocol.of_string} restricted to the two protocols
+    the live runtime runs. *)
 
 val protocol_name : protocol -> string
-(** ["1paxos"] or ["multipaxos"]. *)
+(** {!Ci_consensus.Protocol.name}. *)
 
 val transport_of_string : string -> transport option
 (** Accepts ["spsc"], ["rings"], ["socket"], ["sockets"]. *)

@@ -1,12 +1,13 @@
-(** Bounded single-producer single-consumer queue on [Atomic].
+(** Bounded single-producer single-consumer queue of boxed values on
+    [Atomic].
 
-    The live runtime's analogue of one direction of
-    {!Ci_machine.Channel}: a small fixed number of slots between exactly
-    one producer domain and one consumer domain, mirroring QC-libtask's
-    shared-memory channels. A full ring exerts back-pressure — in the
-    runtime the producer parks overflow in a local outbox and retries,
-    exactly as [Channel] queues sends in its outbox while awaiting
-    credits.
+    The per-pair message channel of the live runtime is
+    {!Spsc_bytes}, which moves encoded messages through fixed byte
+    slots. This queue is its side ring: a message too large for any
+    contiguous run of free slots is boxed here while a marker slot
+    holds its place in line, so FIFO order survives across both. A
+    full queue makes the push fail; the sender parks the message in
+    its outbox and retries.
 
     Lock-free and wait-free: [try_push]/[try_pop] are one atomic
     read-modify cycle each, with no CAS loop (single-writer cursors).

@@ -304,18 +304,22 @@ let slow_leader_spec proto ~dur ~fault =
     warmup = Sim_time.ms 10;
     drain = Sim_time.ms 10;
     bucket = Sim_time.ms 10;
-    faults =
+    nemesis =
       (if fault then
-         [
-           Fault_plan.Slow_core
-             {
-               core = 0;
-               from_ = Sim_time.ms 40;
-               until_ = dur + Sim_time.ms 20;
-               factor = 60.;
-             };
-         ]
-       else []);
+         {
+           Ci_faults.seed = 0;
+           faults =
+             [
+               Ci_faults.Slow
+                 {
+                   core = 0;
+                   from_ = Sim_time.ms 40;
+                   until_ = dur + Sim_time.ms 20;
+                   factor = 60.;
+                 };
+             ];
+         }
+       else Ci_faults.empty);
   }
 
 (* Labelled (case, spec) pairs run as one parallel batch, results

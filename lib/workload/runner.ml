@@ -5,33 +5,25 @@ module Cpu = Ci_machine.Cpu
 module Sim = Ci_engine.Sim
 module Sim_time = Ci_engine.Sim_time
 module Metrics = Ci_obs.Metrics
-module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
-module Onepaxos = Ci_consensus.Onepaxos
-module Multipaxos = Ci_consensus.Multipaxos
-module Twopc = Ci_consensus.Twopc
-module Replica_core = Ci_consensus.Replica_core
 module Shard = Ci_consensus.Shard
-module Atomicity = Ci_rsm.Atomicity
 module Wire = Ci_consensus.Wire
 module Node_env = Ci_engine.Node_env
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
+type protocol = Ci_consensus.Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
-let protocol_name = function
-  | Onepaxos -> "1paxos"
-  | Multipaxos -> "multipaxos"
-  | Twopc -> "2pc"
-  | Mencius -> "mencius"
-  | Cheappaxos -> "cheappaxos"
+let protocol_name = Ci_consensus.Protocol.name
 
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
   | Joint of { n_nodes : int }
 
-(* Open-loop workload knobs; everything deployment-shaped (targets,
-   timeouts, the measurement window) is derived from the spec. *)
-type open_loop = {
+type open_loop = Deployment.open_loop = {
   arrival : Ci_load.Arrival.spec;
   key_dist : Ci_load.Key_dist.spec;
   key_space : int;
@@ -41,16 +33,7 @@ type open_loop = {
   sessions : int;
 }
 
-let default_open_loop =
-  {
-    arrival = Ci_load.Arrival.Fixed 50_000.;
-    key_dist = Ci_load.Key_dist.Uniform;
-    key_space = 65_536;
-    mix = { Ci_load.Open_client.reads = 0.5; cas = 0.; ranges = 0. };
-    range_span = 16;
-    population = 100_000;
-    sessions = 16;
-  }
+let default_open_loop = Deployment.default_open_loop
 
 type spec = {
   protocol : protocol;
@@ -69,7 +52,6 @@ type spec = {
   think : int;
   timeout : int;
   max_requests : int option;
-  faults : Fault_plan.t list;
   nemesis : Ci_faults.t;
   bucket : int;
   colocate_acceptor : bool;
@@ -100,7 +82,6 @@ let default_spec ~protocol ~placement =
     think = 0;
     timeout = Sim_time.ms 2;
     max_requests = None;
-    faults = [];
     nemesis = Ci_faults.empty;
     bucket = Sim_time.ms 10;
     colocate_acceptor = false;
@@ -174,28 +155,16 @@ type snap = {
   s_busy : int array; (* per core: elapsed occupation ns *)
 }
 
-(* A protocol replica, uniformly. *)
-type replica =
-  | Op of Ci_consensus.Onepaxos.t
-  | Mp of Ci_consensus.Multipaxos.t
-  | Tp of Ci_consensus.Twopc.t
-  | Mn of Ci_consensus.Mencius.t
-  | Cp of Ci_consensus.Cheap_paxos.t
-
 (* Per-replica nemesis bookkeeping. [alive] is the {e current}
    incarnation's liveness cell — a crash flips the cell the dead
    incarnation's timers were gated on, a restart installs a fresh cell,
    so stale timers can never act for their successor. *)
-type stable_snap = St_op of Onepaxos.stable | St_mp of Multipaxos.stable
-
 type nem_state = {
   mutable alive : bool ref;
   mutable paused : bool;
   pending : (unit -> unit) Queue.t;
       (** Messages and timer thunks deferred while paused, replayed in
           arrival order at resume (SIGCONT drains the backlog). *)
-  mutable snap : stable_snap option;
-      (** Durable registers captured at the crash instant. *)
 }
 
 (* Gate a node environment for one incarnation: timers of a dead
@@ -212,106 +181,62 @@ let gate_env (base : Wire.t Node_env.t) st alive =
     after_cancel = (fun ~delay f -> base.Node_env.after_cancel ~delay (wrap f));
   }
 
-let replica_handle r ~src msg =
-  match r with
-  | Op x -> Ci_consensus.Onepaxos.handle x ~src msg
-  | Mp x -> Ci_consensus.Multipaxos.handle x ~src msg
-  | Tp x -> Ci_consensus.Twopc.handle x ~src msg
-  | Mn x -> Ci_consensus.Mencius.handle x ~src msg
-  | Cp x -> Ci_consensus.Cheap_paxos.handle x ~src msg
-
-let replica_start = function
-  | Op x -> Ci_consensus.Onepaxos.start x
-  | Mp x -> Ci_consensus.Multipaxos.start x
-  | Cp x -> Ci_consensus.Cheap_paxos.start x
-  | Tp _ | Mn _ -> ()
-
-let replica_core = function
-  | Op x -> Ci_consensus.Onepaxos.replica_core x
-  | Mp x -> Ci_consensus.Multipaxos.replica_core x
-  | Tp x -> Ci_consensus.Twopc.replica_core x
-  | Mn x -> Ci_consensus.Mencius.replica_core x
-  | Cp x -> Ci_consensus.Cheap_paxos.replica_core x
-
-let leader_changes_of = function
-  | Op x -> Ci_consensus.Onepaxos.leader_changes x
-  | Mp x -> Ci_consensus.Multipaxos.elections x
-  | Cp x -> Ci_consensus.Cheap_paxos.reconfigs x
-  | Tp _ | Mn _ -> 0
-
-let acceptor_changes_of = function
-  | Op x -> Ci_consensus.Onepaxos.acceptor_changes x
-  | Mp _ | Tp _ | Mn _ | Cp _ -> 0
-
-let run spec =
-  let n_cores = Topology.n_cores spec.topology in
+(* The simulator's view of the shared deployment description. Failure
+   detection and retry timeouts must exceed the network round trip: the
+   multicore defaults would make LAN deployments suspect healthy peers
+   forever. One hop costs send + prop + recv + handler. *)
+let deployment spec =
   let n_replicas, n_clients, joint =
     match spec.placement with
     | Dedicated { n_replicas; n_clients } -> (n_replicas, n_clients, false)
     | Joint { n_nodes } -> (n_nodes, n_nodes, true)
   in
-  if n_replicas < 1 then invalid_arg "Runner.run: need at least one replica";
-  if spec.groups < 1 then invalid_arg "Runner.run: groups must be >= 1";
-  if not (spec.cross_shard_ratio >= 0. && spec.cross_shard_ratio <= 1.) then
-    invalid_arg "Runner.run: cross_shard_ratio must be in [0, 1]";
-  let n_groups = spec.groups in
-  if n_groups > 1 then begin
-    (match spec.protocol with
-    | Onepaxos | Multipaxos -> ()
-    | Twopc | Mencius | Cheappaxos ->
-      invalid_arg
-        "Runner.run: groups > 1 requires a shardable protocol (1paxos or \
-         multipaxos)");
-    if joint then
-      invalid_arg "Runner.run: groups > 1 requires dedicated placement";
-    if spec.relaxed_reads then
-      invalid_arg "Runner.run: relaxed reads are not routed across shards"
-  end;
-  if spec.lease > 0 then begin
-    (match spec.protocol with
-    | Onepaxos | Multipaxos -> ()
-    | Twopc | Mencius | Cheappaxos ->
-      invalid_arg
-        "Runner.run: leader leases require 1paxos or multipaxos");
-    if spec.relaxed_reads then
-      invalid_arg
-        "Runner.run: leases and relaxed reads are mutually exclusive read \
-         paths"
-  end;
-  if spec.open_loop <> None && joint then
-    invalid_arg "Runner.run: open-loop load requires dedicated placement";
-  (* [n_replicas] is per group; routers get their own nodes. *)
-  let total_replicas = n_groups * n_replicas in
-  let n_routers = if n_groups = 1 then 0 else n_groups in
+  let p = spec.params in
+  let rtt =
+    2
+    * (p.Net_params.send_cost + p.Net_params.prop_inter + p.Net_params.recv_cost
+     + p.Net_params.handler_cost)
+  in
+  {
+    Deployment.protocol = spec.protocol;
+    groups = spec.groups;
+    replicas = n_replicas;
+    clients = n_clients;
+    joint;
+    cross_shard_ratio = spec.cross_shard_ratio;
+    tuning =
+      {
+        Ci_consensus.Protocol.relaxed_reads = spec.relaxed_reads;
+        local_reads = spec.local_reads;
+        colocate_acceptor = spec.colocate_acceptor;
+        batch = spec.batch;
+        batch_delay = spec.batch_delay;
+        pipeline = spec.pipeline;
+        lease = spec.lease;
+        lease_skew = spec.lease_skew;
+        unsafe_stale_adoption = false;
+        floors =
+          { suspect = 4 * rtt; check_period = rtt; pu = 3 * rtt; election = 3 * rtt };
+      };
+    timeout = spec.timeout;
+    think = spec.think;
+    read_ratio = spec.read_ratio;
+    key_space = (Client.default_policy ~targets:[||]).Client.key_space;
+    max_requests = spec.max_requests;
+    open_loop = spec.open_loop;
+    nemesis = spec.nemesis;
+  }
+
+let run spec =
+  let n_cores = Topology.n_cores spec.topology in
+  let d = deployment spec in
+  Deployment.validate ~who:"Runner.run" ~n_cores d;
+  let total_replicas = Deployment.total_replicas d in
   if total_replicas > n_cores then
     invalid_arg "Runner.run: more replicas than cores";
-  if (not joint) && n_clients < 1 then invalid_arg "Runner.run: need clients";
-  List.iter
-    (fun f ->
-      match Fault_plan.validate ~n_cores f with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Runner.run: fault plan: " ^ e))
-    spec.faults;
   let has_crashpause =
     Ci_faults.crashes spec.nemesis <> [] || Ci_faults.pauses spec.nemesis <> []
   in
-  if not (Ci_faults.is_empty spec.nemesis) then begin
-    (match Ci_faults.validate ~n_cores ~n_nodes:total_replicas spec.nemesis with
-    | Ok () -> ()
-    | Error e -> invalid_arg ("Runner.run: nemesis: " ^ e));
-    if has_crashpause then begin
-      (match spec.protocol with
-      | Onepaxos | Multipaxos -> ()
-      | Twopc | Mencius | Cheappaxos ->
-        invalid_arg
-          "Runner.run: nemesis crash/pause requires a protocol with \
-           crash-recovery (1paxos or multipaxos)");
-      if joint then
-        invalid_arg
-          "Runner.run: nemesis crash/pause requires dedicated placement \
-           (a joint node's client would die with its replica)"
-    end
-  end;
   let machine =
     Machine.create ~seed:spec.seed ~topology:spec.topology ~params:spec.params ()
   in
@@ -319,92 +244,24 @@ let run spec =
      Sharded runs lay groups out group-major over the same contiguous
      range, so group g spans cores [g*R, (g+1)*R): with the Topology's
      socket structure, growing the socket count spreads whole groups
-     across sockets — exactly what the shards figure sweeps. *)
-  let replica_nodes =
-    Array.init total_replicas (fun i -> Machine.add_node machine ~core:i)
+     across sockets — exactly what the shards figure sweeps. Routers
+     (sharded runs) and clients share the cores after the replicas; at
+     [groups = 1] there are no routers and the layout is the historical
+     one. Node ids follow creation order, so they are the layout's. *)
+  let tail_core i =
+    let tail_cores = n_cores - total_replicas in
+    if tail_cores < 1 then invalid_arg "Runner.run: no cores left for clients";
+    total_replicas + (i mod tail_cores)
   in
-  let replica_ids = Array.map Machine.node_id replica_nodes in
-  let group_ids g = Array.sub replica_ids (g * n_replicas) n_replicas in
-  let group_of_replica i = i / n_replicas in
-  (* Failure-detection and retry timeouts must exceed the network round
-     trip: the multicore defaults would make LAN deployments suspect
-     healthy peers forever. One hop costs send + prop + recv + handler. *)
-  let hop =
-    spec.params.Net_params.send_cost + spec.params.Net_params.prop_inter
-    + spec.params.Net_params.recv_cost + spec.params.Net_params.handler_cost
+  let node_of_id =
+    Array.init (Deployment.n_nodes d) (fun id ->
+        Machine.add_node machine
+          ~core:(if id < total_replicas then id else tail_core (id - total_replicas)))
   in
-  let rtt = 2 * hop in
-  let op_config ~replicas:replica_ids () =
-    let d = Ci_consensus.Onepaxos.default_config ~replicas:replica_ids in
-    {
-      d with
-      Ci_consensus.Onepaxos.relaxed_reads = spec.relaxed_reads;
-      initial_acceptor =
-        (if spec.colocate_acceptor then replica_ids.(0)
-         else replica_ids.(1 mod Array.length replica_ids));
-      acceptor_timeout = max d.Ci_consensus.Onepaxos.acceptor_timeout (4 * rtt);
-      prepare_timeout = max d.Ci_consensus.Onepaxos.prepare_timeout (4 * rtt);
-      check_period = max d.Ci_consensus.Onepaxos.check_period rtt;
-      pu_timeout = max d.Ci_consensus.Onepaxos.pu_timeout (3 * rtt);
-      max_batch = spec.batch;
-      batch_delay = spec.batch_delay;
-      window = spec.pipeline;
-      lease = spec.lease;
-      lease_skew = spec.lease_skew;
-    }
-  in
-  let mp_config ~replicas:replica_ids () =
-    let d = Ci_consensus.Multipaxos.default_config ~replicas:replica_ids in
-    {
-      d with
-      Ci_consensus.Multipaxos.relaxed_reads = spec.relaxed_reads;
-      election_timeout = max d.Ci_consensus.Multipaxos.election_timeout (3 * rtt);
-      max_batch = spec.batch;
-      batch_delay = spec.batch_delay;
-      window = spec.pipeline;
-      lease = spec.lease;
-      lease_skew = spec.lease_skew;
-    }
-  in
-  let make_replica ~group env =
-    let replicas = group_ids group in
-    match spec.protocol with
-    | Onepaxos ->
-      Op (Ci_consensus.Onepaxos.create ~env ~config:(op_config ~replicas ()))
-    | Multipaxos ->
-      Mp (Ci_consensus.Multipaxos.create ~env ~config:(mp_config ~replicas ()))
-    | Twopc ->
-      let cfg =
-        {
-          (Ci_consensus.Twopc.default_config ~replicas) with
-          local_reads = spec.local_reads;
-        }
-      in
-      Tp (Ci_consensus.Twopc.create ~env ~config:cfg)
-    | Mencius ->
-      let cfg =
-        {
-          (Ci_consensus.Mencius.default_config ~replicas) with
-          relaxed_reads = spec.relaxed_reads;
-        }
-      in
-      Mn (Ci_consensus.Mencius.create ~env ~config:cfg)
-    | Cheappaxos ->
-      let d = Ci_consensus.Cheap_paxos.default_config ~replicas in
-      let cfg =
-        {
-          d with
-          Ci_consensus.Cheap_paxos.acceptor_timeout =
-            max d.Ci_consensus.Cheap_paxos.acceptor_timeout (4 * rtt);
-          check_period = max d.Ci_consensus.Cheap_paxos.check_period rtt;
-          reconfig_timeout = max d.Ci_consensus.Cheap_paxos.reconfig_timeout (4 * rtt);
-        }
-      in
-      Cp (Ci_consensus.Cheap_paxos.create ~env ~config:cfg)
-  in
+  let replica_nodes = Array.sub node_of_id 0 total_replicas in
   let nem =
     Array.init total_replicas (fun _ ->
-        { alive = ref true; paused = false; pending = Queue.create (); snap = None })
+        { alive = ref true; paused = false; pending = Queue.create () })
   in
   (* Environments are wrapped only under a crash/pause schedule: the
      empty-nemesis path hands protocols the machine's own environment,
@@ -412,28 +269,6 @@ let run spec =
   let env_for i =
     let base = Machine.env replica_nodes.(i) in
     if has_crashpause then gate_env base nem.(i) nem.(i).alive else base
-  in
-  let replicas =
-    Array.init total_replicas (fun i ->
-        make_replica ~group:(group_of_replica i) (env_for i))
-  in
-  (* Routers (sharded runs) and clients share the cores after the
-     replicas; at [groups = 1] there are no routers and the layout is
-     the historical one. *)
-  let tail_core i =
-    let tail_cores = n_cores - total_replicas in
-    if tail_cores < 1 then invalid_arg "Runner.run: no cores left for clients";
-    total_replicas + (i mod tail_cores)
-  in
-  let router_nodes =
-    Array.init n_routers (fun j -> Machine.add_node machine ~core:(tail_core j))
-  in
-  let router_ids = Array.map Machine.node_id router_nodes in
-  let client_nodes =
-    if joint then replica_nodes
-    else
-      Array.init n_clients (fun i ->
-          Machine.add_node machine ~core:(tail_core (n_routers + i)))
   in
   let w0 = spec.warmup and w1 = spec.warmup + spec.duration in
   let horizon = w1 + spec.drain in
@@ -443,156 +278,44 @@ let run spec =
     | None -> None
     | Some _ -> Some (Ci_load.Load_stats.create ~from_:w0 ~until_:w1)
   in
-  let policy =
-    {
-      (Client.default_policy
-         ~targets:(if n_routers = 0 then replica_ids else router_ids))
-      with
-      Client.failover = spec.protocol <> Twopc;
-      timeout = spec.timeout;
-      think = spec.think;
-      read_ratio = spec.read_ratio;
-      cross_shard_ratio = spec.cross_shard_ratio;
-      groups = n_groups;
-      relaxed_reads = spec.relaxed_reads;
-      read_own_node = joint && (spec.local_reads || spec.relaxed_reads);
-      max_requests = spec.max_requests;
-    }
+  (* Open-loop drivers stop arriving at the measurement end; the drain
+     window lets the backlog play out. *)
+  let nodes =
+    Deployment.build d ~replica_env:env_for
+      ~env:(fun id -> Machine.env node_of_id.(id))
+      ~stats:(fun _ -> stats)
+      ~sink:(fun _ -> Option.get load_sink)
+      ~stop_at:w1
   in
-  let clients =
-    if spec.open_loop <> None then [||]
-    else
-      Array.mapi
-        (fun i node ->
-          (* Mencius distributes load by design: spread the clients over
-             the leaders instead of pointing everyone at replica 0. *)
-          let policy =
-            if n_routers > 0 then { policy with Client.primary = i mod n_routers }
-            else if spec.protocol = Mencius then
-              { policy with Client.primary = i mod n_replicas }
-            else policy
-          in
-          Client.create ~env:(Machine.env node) ~policy ~stats)
-        client_nodes
-  in
-  (* Open-loop drivers replace the closed-loop clients on the same
-     nodes: arrivals follow the offered schedule up to the measurement
-     end, and the drain window lets the backlog play out. *)
-  let drivers =
-    match (spec.open_loop, load_sink) with
-    | Some ol, Some sink ->
-      Array.mapi
-        (fun i node ->
-          let config =
-            {
-              Ci_load.Open_client.targets =
-                (if n_routers = 0 then replica_ids else router_ids);
-              primary =
-                (if n_routers > 0 then i mod n_routers
-                 else if spec.protocol = Mencius then i mod n_replicas
-                 else 0);
-              failover = spec.protocol <> Twopc;
-              timeout = spec.timeout;
-              arrival = ol.arrival;
-              key_dist = ol.key_dist;
-              key_space = ol.key_space;
-              mix = ol.mix;
-              range_span = ol.range_span;
-              population = ol.population;
-              sessions = ol.sessions;
-              relaxed_reads = spec.relaxed_reads;
-              stop_at = w1;
-            }
-          in
-          Ci_load.Open_client.create ~env:(Machine.env node) ~config
-            ~stats:sink)
-        client_nodes
-    | _ -> [||]
-  in
-  (* Sharded runs put a 2PC participant in front of each group's entry
-     replica: it consumes the router's prepare/commit messages and the
-     consensus replies to its own self-requests; everything else falls
-     through to the replica. *)
-  let participants =
-    Array.init
-      (if n_groups = 1 then 0 else n_groups)
-      (fun g -> Twopc.Participant.create ~env:(env_for (g * n_replicas)))
-  in
-  let part_of i =
-    if n_groups > 1 && i mod n_replicas = 0 then
-      Some participants.(group_of_replica i)
-    else None
-  in
-  (* Handler wiring: replies go to the client half, everything else to
-     the replica half (joint nodes host both). Under a crash/pause
-     schedule the handler resolves [replicas.(i)] at delivery time (a
-     restart swaps the incarnation in place) and buffers while
-     paused. *)
+  (* Under a crash/pause schedule a restart swaps in a new handler
+     chain for the new incarnation, and a paused node buffers. *)
+  let handlers = Array.init total_replicas (Deployment.replica_handler d nodes) in
   Array.iteri
     (fun i node ->
-      let r = replicas.(i) in
-      let deliver ~src msg =
-        match part_of i with
-        | Some p when Twopc.Participant.handle p ~src msg -> ()
-        | Some _ | None -> replica_handle replicas.(i) ~src msg
-      in
       if has_crashpause then
         let st = nem.(i) in
         Machine.set_handler node (fun ~src msg ->
-            if st.paused then
-              Queue.add (fun () -> deliver ~src msg) st.pending
-            else deliver ~src msg)
-      else if joint then
-        let c = clients.(i) in
-        Machine.set_handler node (fun ~src msg ->
-            match msg with
-            | Wire.Reply _ -> Client.handle c ~src msg
-            | _ -> replica_handle r ~src msg)
-      else
-        Machine.set_handler node (fun ~src msg -> deliver ~src msg))
+            if st.paused then Queue.add (fun () -> handlers.(i) ~src msg) st.pending
+            else handlers.(i) ~src msg)
+      else Machine.set_handler node handlers.(i))
     replica_nodes;
-  if not joint then
-    Array.iteri
-      (fun i node ->
-        if Array.length drivers > 0 then
-          let d = drivers.(i) in
-          Machine.set_handler node (fun ~src msg ->
-              Ci_load.Open_client.handle d ~src msg)
-        else
-          let c = clients.(i) in
-          Machine.set_handler node (fun ~src msg -> Client.handle c ~src msg))
-      client_nodes;
-  (* Routers: hash single-shard commands to their group's entry replica,
-     run cross-shard multi-puts as 2PC transactions. *)
-  let routers =
-    Array.map
-      (fun node ->
-        let config =
-          {
-            Shard.Router.groups = n_groups;
-            leader_of =
-              Array.init n_groups (fun g -> replica_ids.(g * n_replicas));
-            retry_timeout = spec.timeout;
-          }
-        in
-        let r = Shard.Router.create ~env:(Machine.env node) ~config in
-        Machine.set_handler node (fun ~src msg -> Shard.Router.handle r ~src msg);
-        r)
-      router_nodes
-  in
+  if not d.Deployment.joint then
+    for k = 0 to d.Deployment.clients - 1 do
+      Machine.set_handler
+        node_of_id.(Deployment.client_id d k)
+        (Deployment.client_handler nodes k)
+    done;
+  Array.iteri
+    (fun j r ->
+      Machine.set_handler node_of_id.(Deployment.router_id d j) (Shard.Router.handle r))
+    nodes.Deployment.routers;
   (* Typed observability: record trace events when the caller supplied a
      ring, labelling message events with their wire constructor names. *)
   Machine.set_observer ~msg_label:Wire.kind machine spec.trace;
   (* Faults, protocol bootstrap, load. *)
-  List.iter (fun f -> Fault_plan.apply f machine) spec.faults;
   let do_crash ~node:i =
     let st = nem.(i) in
-    st.snap <-
-      Some
-        (match replicas.(i) with
-        | Op x -> St_op (Ci_consensus.Onepaxos.stable x)
-        | Mp x -> St_mp (Ci_consensus.Multipaxos.stable x)
-        | Tp _ | Mn _ | Cp _ -> assert false);
+    Deployment.crash nodes i;
     st.alive := false;
     st.paused <- false;
     Queue.clear st.pending;
@@ -603,22 +326,8 @@ let run spec =
     Machine.set_node_down replica_nodes.(i) false;
     let alive = ref true in
     st.alive <- alive;
-    let env = gate_env (Machine.env replica_nodes.(i)) st alive in
-    let r =
-      match st.snap with
-      | Some (St_op s) ->
-        Op
-          (Ci_consensus.Onepaxos.recover ~env
-             ~config:(op_config ~replicas:(group_ids (group_of_replica i)) ())
-             ~stable:s)
-      | Some (St_mp s) ->
-        Mp
-          (Ci_consensus.Multipaxos.recover ~env
-             ~config:(mp_config ~replicas:(group_ids (group_of_replica i)) ())
-             ~stable:s)
-      | None -> assert false
-    in
-    replicas.(i) <- r
+    Deployment.restart d nodes i (gate_env (Machine.env replica_nodes.(i)) st alive);
+    handlers.(i) <- Deployment.replica_handler d nodes i
   in
   let do_pause ~node:i =
     nem.(i).paused <- true;
@@ -636,9 +345,10 @@ let run spec =
   in
   Nemesis.install machine ~nemesis:spec.nemesis ~crash:do_crash
     ~restart:do_restart ~pause:do_pause ~resume:do_resume;
-  Array.iter replica_start replicas;
+  let clients = nodes.Deployment.clients in
+  Array.iter Ci_consensus.Protocol.start nodes.Deployment.replicas;
   Array.iter Client.start clients;
-  Array.iter Ci_load.Open_client.start drivers;
+  Array.iter Ci_load.Open_client.start nodes.Deployment.drivers;
   (* Counter snapshots at the window boundaries, taken from inside the
      simulation so every count is confined to its window (previously
      [messages] and [retries] covered the whole run while [commits]
@@ -702,9 +412,7 @@ let run spec =
   in
   let used_cores =
     let tbl = Hashtbl.create 16 in
-    Array.iter (fun n -> Hashtbl.replace tbl (Machine.core_of n) ()) replica_nodes;
-    Array.iter (fun n -> Hashtbl.replace tbl (Machine.core_of n) ()) router_nodes;
-    Array.iter (fun n -> Hashtbl.replace tbl (Machine.core_of n) ()) client_nodes;
+    Array.iter (fun n -> Hashtbl.replace tbl (Machine.core_of n) ()) node_of_id;
     Hashtbl.fold (fun c () acc -> c :: acc) tbl [] |> List.sort compare
   in
   let cores =
@@ -785,191 +493,27 @@ let run spec =
   (match spec.trace with
    | Some ring -> Metrics.set_int metrics "trace.dropped" (Ci_obs.Event.dropped ring)
    | None -> ());
-  (* Consistency. *)
-  let proposed_tbl = Hashtbl.create 4096 in
-  Array.iter
-    (fun c ->
-      let id = Client.node_id c in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Client.issued c))
-    clients;
-  Array.iter
-    (fun d ->
-      let id = Ci_load.Open_client.node_id d in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Ci_load.Open_client.issued d))
-    drivers;
-  (* Participants propose [Prep]/[Fin] as self-requests under their own
-     node's identity — as much client input as the clients' commands. *)
-  Array.iteri
-    (fun g p ->
-      let id = replica_ids.(g * n_replicas) in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Twopc.Participant.issued p))
-    participants;
-  let proposed (v : Wire.value) =
-    (* Mencius skip placeholders are protocol no-ops, not client input. *)
-    Ci_consensus.Mencius.is_skip_value v
-    ||
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked =
-    (Array.to_list clients |> List.concat_map Client.acked_writes)
-    @ (Array.to_list drivers
-      |> List.concat_map Ci_load.Open_client.acked_writes)
-  in
-  let views =
-    Array.to_list (Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
-  in
-  let consistency, atomicity =
-    if n_groups = 1 then
-      ( Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-          ~key_of:Wire.value_key views,
-        None )
-    else begin
-      (* Each group is an independent consensus: agreement and state
-         convergence hold within a group, never across groups. An acked
-         single-shard write must be learned by its owning group; an
-         acked cross-shard write commits under the router's identity
-         (no group ever learns the client's own (client, req_id)), so
-         it belongs to the atomicity checker instead. *)
-      let cmd_of key = Hashtbl.find_opt proposed_tbl key in
-      let is_cross key =
-        match cmd_of key with
-        | Some cmd -> List.length (Shard.groups_of ~groups:n_groups cmd) > 1
-        | None -> false
-      in
-      let cross_acked, single_acked = List.partition is_cross acked in
-      let acked_of g =
-        List.filter
-          (fun key ->
-            match cmd_of key with
-            | Some cmd -> Shard.group_of_cmd ~groups:n_groups cmd = g
-            | None -> false)
-          single_acked
-      in
-      let group_views g = List.filteri (fun i _ -> group_of_replica i = g) views in
-      let reports =
-        List.init n_groups (fun g ->
-            Consistency.check ~equal:Wire.value_equal ~proposed
-              ~acked:(acked_of g) ~key_of:Wire.value_key (group_views g))
-      in
-      let consistency =
-        {
-          Consistency.violations =
-            List.concat_map
-              (fun (r : Consistency.report) -> r.Consistency.violations)
-              reports;
-          checked_instances =
-            List.fold_left
-              (fun a (r : Consistency.report) ->
-                a + r.Consistency.checked_instances)
-              0 reports;
-          checked_replicas =
-            List.fold_left
-              (fun a (r : Consistency.report) -> a + r.Consistency.checked_replicas)
-              0 reports;
-        }
-      in
-      (* The atomicity check reads each group's decided commands off the
-         union of its replicas' logs (agreement inside the group was
-         just checked, so the union is one consistent sequence). *)
-      let decided =
-        List.init n_groups (fun g ->
-            let cmds =
-              List.concat_map
-                (fun (rv : Wire.value Consistency.replica_view) ->
-                  List.map
-                    (fun (_, (v : Wire.value)) -> v.Wire.cmd)
-                    rv.Consistency.decisions)
-                (group_views g)
-            in
-            (g, cmds))
-      in
-      let txns =
-        Array.to_list routers |> List.concat_map Shard.Router.txn_reports
-      in
-      (consistency, Some (Atomicity.check ~decided ~txns ~acked:cross_acked))
-    end
-  in
-  if n_groups > 1 then begin
-    let sum f = Array.fold_left (fun a r -> a + f r) 0 routers in
-    Metrics.set_int metrics "shard.groups" n_groups;
-    Metrics.set_int metrics "shard.forwarded" (sum Shard.Router.forwarded);
-    Metrics.set_int metrics "shard.committed" (sum Shard.Router.committed);
-    Metrics.set_int metrics "shard.aborted" (sum Shard.Router.aborted)
-  end;
-  let leader_changes =
-    Array.fold_left (fun acc r -> max acc (leader_changes_of r)) 0 replicas
-  in
-  let leader_changes_sum =
-    Array.fold_left (fun acc r -> acc + leader_changes_of r) 0 replicas
-  in
-  let acceptor_changes =
-    Array.fold_left (fun acc r -> max acc (acceptor_changes_of r)) 0 replicas
-  in
-  let acceptor_changes_sum =
-    Array.fold_left (fun acc r -> acc + acceptor_changes_of r) 0 replicas
-  in
+  let consistency, atomicity = Deployment.audit d nodes in
+  Deployment.publish_shard metrics ~prefix:"" d nodes;
+  let replicas = nodes.Deployment.replicas in
+  let max_of f = Array.fold_left (fun acc r -> max acc (f r)) 0 replicas in
+  let sum_of f = Array.fold_left (fun acc r -> acc + f r) 0 replicas in
+  let leader_changes = max_of Ci_consensus.Protocol.leader_changes in
+  let leader_changes_sum = sum_of Ci_consensus.Protocol.leader_changes in
+  let acceptor_changes = max_of Ci_consensus.Protocol.acceptor_changes in
+  let acceptor_changes_sum = sum_of Ci_consensus.Protocol.acceptor_changes in
   Metrics.set_int metrics "leader_changes.max" leader_changes;
   Metrics.set_int metrics "leader_changes.sum" leader_changes_sum;
   Metrics.set_int metrics "acceptor_changes.max" acceptor_changes;
   Metrics.set_int metrics "acceptor_changes.sum" acceptor_changes_sum;
-  let lease_reads =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +
-        match r with
-        | Op x -> Ci_consensus.Onepaxos.lease_reads x
-        | Mp x -> Ci_consensus.Multipaxos.lease_reads x
-        | Tp _ | Mn _ | Cp _ -> 0)
-      0 replicas
-  in
-  (* Lease and load metric keys exist only when the feature is on, so
-     default-spec metric dumps are unchanged. *)
-  if spec.lease > 0 then Metrics.set_int metrics "lease.reads" lease_reads;
-  (match load_sink with
-  | Some s ->
-    let lp = Ci_load.Load_stats.latency_percentiles s in
-    let sp = Ci_load.Load_stats.service_percentiles s in
-    Metrics.set_int metrics "load.issued" (Ci_load.Load_stats.issued s);
-    Metrics.set_int metrics "load.completed" (Ci_load.Load_stats.completed s);
-    Metrics.set_int metrics "load.rejected" (Ci_load.Load_stats.rejected s);
-    Metrics.set_int metrics "load.stale_reads"
-      (Ci_load.Load_stats.stale_reads s);
-    Metrics.set_int metrics "load.max_backlog"
-      (Ci_load.Load_stats.max_backlog s);
-    Metrics.set_float metrics "load.throughput"
-      (Ci_load.Load_stats.throughput s);
-    Metrics.set_int metrics "load.p50" lp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "load.p99" lp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "load.p999" lp.Ci_load.Load_stats.p999;
-    Metrics.set_int metrics "load.service_p50" sp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "load.service_p99" sp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "load.service_p999" sp.Ci_load.Load_stats.p999
-  | None -> ());
-  (* Failover shape around the schedule's first fault. Fault metric keys
-     exist only under a non-empty nemesis, so fault-free metric dumps
-     are unchanged. *)
+  let lease_reads = Deployment.lease_reads nodes in
+  Deployment.publish_load metrics ~prefix:"" d ~lease_reads load_sink;
+  (* Failover shape around the schedule's first fault. *)
   let failover =
-    match Ci_faults.first_fault_at spec.nemesis with
-    | Some fault_at when fault_at >= 0 && fault_at < horizon ->
-      Metrics.set_int metrics "faults.dropped" (Machine.fault_dropped machine);
-      Metrics.set_int metrics "faults.duplicated"
-        (Machine.fault_duplicated machine);
-      let completions = Run_stats.completions_in stats ~from_:0 ~until_:horizon in
-      let f =
-        Ci_obs.Failover.analyze ~completions ~from_:0 ~fault_at ~until_:horizon
-      in
-      Ci_obs.Failover.record metrics f;
-      Some f
-    | Some _ | None -> None
+    Deployment.publish_failover metrics ~prefix:"" d ~until_:horizon
+      ~dropped:(Machine.fault_dropped machine)
+      ~duplicated:(Machine.fault_duplicated machine)
+      ~completions:(fun () -> Run_stats.completions_in stats ~from_:0 ~until_:horizon)
   in
   {
     commits;

@@ -8,33 +8,32 @@
     - {b Joint} (§7.4–7.5): every node is both replica and client; all
       commands are forwarded to the leader. *)
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
+type protocol = Ci_consensus.Protocol.t =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
 val protocol_name : protocol -> string
-(** Short lowercase name ("1paxos", "multipaxos", "2pc", "mencius",
-    "cheappaxos"). *)
+(** {!Ci_consensus.Protocol.name}. *)
 
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
   | Joint of { n_nodes : int }
 
-type open_loop = {
+type open_loop = Deployment.open_loop = {
   arrival : Ci_load.Arrival.spec;
-      (** Offered-load schedule {e per driver node} — total offered load
-          is [rate × n_clients]. *)
   key_dist : Ci_load.Key_dist.spec;
   key_space : int;
   mix : Ci_load.Open_client.mix;
-  range_span : int;  (** Keys per [Range] command. *)
-  population : int;  (** Logical clients multiplexed per driver. *)
-  sessions : int;  (** Concurrent in-flight requests per driver. *)
+  range_span : int;
+  population : int;
+  sessions : int;
 }
-(** Workload knobs for the open-loop driver; deployment shape (targets,
-    timeouts, the measurement window) comes from the {!spec}. *)
+(** {!Deployment.open_loop}, re-exported. *)
 
 val default_open_loop : open_loop
-(** 50k fixed ops/s per driver, uniform keys over 64Ki, 50% reads,
-    100k logical clients over 16 sessions. *)
 
 type spec = {
   protocol : protocol;
@@ -65,11 +64,12 @@ type spec = {
   think : int;  (** Client think time (ns). *)
   timeout : int;  (** Client retry timeout (ns). *)
   max_requests : int option;  (** Per-client request budget. *)
-  faults : Fault_plan.t list;
   nemesis : Ci_faults.t;
       (** Declarative fault schedule ({!Ci_faults.empty} by default —
           the empty schedule is guaranteed not to perturb the run).
-          Link faults and slowdowns work for every protocol; crash and
+          Link faults and slowdowns ({!Ci_faults.Slow}, including the
+          paper's slow cores and, at [factor = infinity], crashed
+          cores) work for every protocol; crash and
           pause faults require 1Paxos or Multi-Paxos (the protocols
           with a [recover] entry point) under dedicated placement, and
           their node indices refer to replicas [0..R-1]. Invalid or

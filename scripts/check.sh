@@ -107,13 +107,27 @@ echo "== model-checker smoke (exhaustive, one crash, <=2s) =="
 # ISSUE 10 — 3 replicas, crash budget 1, no timer nondeterminism — and
 # say so. `explore` exits 1 on any safety or liveness violation, so a
 # regression that re-opens a counterexample fails the pre-flight; the
-# grep additionally rejects a silent downgrade to outcome=bounded.
-dune exec bin/consensus_sim.exe -- explore -p 1paxos \
-  --fires 0 --crashes 1 --commands 2 --max-depth 48 \
-  | grep -q '^outcome=exhausted$'
-dune exec bin/consensus_sim.exe -- explore -p multipaxos \
-  --fires 0 --crashes 1 --commands 1 --max-depth 48 \
-  | grep -q '^outcome=exhausted$'
+# grep additionally rejects a silent downgrade to outcome=bounded, and
+# the stats line is pinned exactly: a change to the explorer's world
+# that grows, shrinks or reorders the explored space fails here even
+# when the verdict survives.
+explore_smoke() {
+  expect=$1
+  shift
+  out=$(dune exec bin/consensus_sim.exe -- explore "$@")
+  echo "$out" | grep -q '^outcome=exhausted$'
+  stats=$(echo "$out" | grep '^states=')
+  if [ "$stats" != "$expect" ]; then
+    echo "explored space changed for $*:"
+    echo "  got      $stats"
+    echo "  expected $expect"
+    exit 1
+  fi
+}
+explore_smoke 'states=251 executions=251 choices=1662 branches=249 dedup_hits=105 dedup_ratio=0.295 sleep_skips=13 sleep_ratio=0.050 rounds=2 closures=16' \
+  -p 1paxos --fires 0 --crashes 1 --commands 2 --max-depth 48
+explore_smoke 'states=3824 executions=3824 choices=35244 branches=3822 dedup_hits=2430 dedup_ratio=0.389 sleep_skips=605 sleep_ratio=0.137 rounds=2 closures=10' \
+  -p multipaxos --fires 0 --crashes 1 --commands 1 --max-depth 48
 
 echo "== BENCH_explore.json sanity (committed artifact of 'bench explore') =="
 # Regenerated by `dune exec bench/main.exe -- explore`; here we only

@@ -1,7 +1,6 @@
 (* The experiment runner: placements, measurement windows, faults. *)
 
 module Runner = Ci_workload.Runner
-module Fault_plan = Ci_workload.Fault_plan
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
@@ -52,11 +51,15 @@ let test_fault_applied () =
   let faulty =
     {
       base with
-      Runner.faults =
-        [
-          Fault_plan.Slow_core
-            { core = 0; from_ = Sim_time.ms 2; until_ = Sim_time.ms 20; factor = 1e9 };
-        ];
+      Runner.nemesis =
+        {
+          Ci_faults.seed = 0;
+          faults =
+            [
+              Ci_faults.Slow
+                { core = 0; from_ = Sim_time.ms 2; until_ = Sim_time.ms 20; factor = 1e9 };
+            ];
+        };
     }
   in
   let healthy = Runner.run base and broken = Runner.run faulty in
@@ -66,14 +69,25 @@ let test_fault_applied () =
     true
     (broken.Runner.commits * 10 < healthy.Runner.commits)
 
+(* A crashed core is the limit case of a slow one: no progress at all
+   during the window. *)
+let crash_core core =
+  {
+    Ci_faults.seed = 0;
+    faults =
+      [
+        Ci_faults.Slow
+          { core; from_ = Sim_time.ms 2; until_ = Sim_time.s 1; factor = infinity };
+      ];
+  }
+
 let test_crash_core_fault () =
   let r =
     Runner.run
       {
         (quick_spec ())
         with
-        Runner.faults =
-          [ Fault_plan.Crash_core { core = 1; from_ = Sim_time.ms 2; until_ = Sim_time.s 1 } ];
+        Runner.nemesis = crash_core 1;
       }
   in
   (* Crashing the acceptor: 1Paxos replaces it and keeps committing. *)
@@ -114,7 +128,23 @@ let test_protocol_names () =
   Alcotest.(check string) "1paxos" "1paxos" (Runner.protocol_name Runner.Onepaxos);
   Alcotest.(check string) "multipaxos" "multipaxos"
     (Runner.protocol_name Runner.Multipaxos);
-  Alcotest.(check string) "2pc" "2pc" (Runner.protocol_name Runner.Twopc)
+  Alcotest.(check string) "2pc" "2pc" (Runner.protocol_name Runner.Twopc);
+  (* One parser for every front end: the union of their aliases. *)
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check (option string)) s expect
+        (Option.map Runner.protocol_name (Ci_consensus.Protocol.of_string s)))
+    [
+      ("1paxos", Some "1paxos");
+      ("onepaxos", Some "1paxos");
+      ("multipaxos", Some "multipaxos");
+      ("multi-paxos", Some "multipaxos");
+      ("2pc", Some "2pc");
+      ("twopc", Some "2pc");
+      ("mencius", Some "mencius");
+      ("cheappaxos", Some "cheappaxos");
+      ("raft", None);
+    ]
 
 let test_window_split_sums () =
   let r = Runner.run (quick_spec ()) in
@@ -256,8 +286,7 @@ let test_change_counter_aggregates () =
       {
         (quick_spec ())
         with
-        Runner.faults =
-          [ Fault_plan.Crash_core { core = 1; from_ = Sim_time.ms 2; until_ = Sim_time.s 1 } ];
+        Runner.nemesis = crash_core 1;
       }
   in
   Alcotest.(check bool) "sum dominates the per-replica max" true

@@ -181,6 +181,9 @@ let test_validation () =
     | _ -> Alcotest.failf "%s: accepted a malformed spec" name
   in
   let ok = Live.default_spec ~protocol:Live.Onepaxos in
+  List.iter
+    (fun p -> expect_invalid (Live.protocol_name p) { ok with Live.protocol = p })
+    [ Live.Twopc; Live.Mencius; Live.Cheappaxos ];
   expect_invalid "replicas" { ok with Live.n_replicas = 1 };
   expect_invalid "clients" { ok with Live.n_clients = 0 };
   expect_invalid "duration" { ok with Live.duration_s = 0. };
