@@ -9,20 +9,21 @@
     per-state check all call it. *)
 
 val check :
-  issued:(int * int -> Ci_rsm.Command.t option) ->
-  acked:(int * int) list ->
-  views:Wire.value Ci_rsm.Consistency.replica_view list list ->
+  issued:(client:int -> req_id:int -> Ci_rsm.Command.t option) ->
+  acked:((int -> int -> unit) -> unit) ->
+  logs:Wire.value Ci_rsm.Consistency.replica_log list list ->
   txns:Ci_rsm.Atomicity.txn list ->
   Ci_rsm.Consistency.report * Ci_rsm.Atomicity.report option
-(** [check ~issued ~acked ~views ~txns] audits one deployment.
+(** [check ~issued ~acked ~logs ~txns] audits one deployment.
 
-    - [issued (node, req_id)] is the command that node proposed under
-      that request id (clients, open-loop drivers and 2PC participants
-      alike); a lookup, so a caller that keeps its table incrementally
-      never rebuilds it.
-    - [acked] lists the acknowledged writes as [(node, req_id)].
-    - [views] holds one list of replica views per consensus group, in
-      group order.
+    - [issued ~client:node ~req_id] is the command that node proposed
+      under that request id (clients, open-loop drivers and 2PC
+      participants alike); a lookup, so a caller that keeps its table
+      incrementally never rebuilds it.
+    - [acked f] calls [f node req_id] on every acknowledged write.
+    - [logs] holds one list of replica logs per consensus group, in
+      group order ({!Replica_core.log} reads a live replica in place;
+      {!Ci_rsm.Consistency.log_of_view} adapts a harvested view).
     - [txns] are the routers' cross-shard transaction records.
 
     Learned values must be proposed, except Mencius skip placeholders,

@@ -1,6 +1,7 @@
 module Node_env = Ci_engine.Node_env
 module Sim_time = Ci_engine.Sim_time
 module Command = Ci_rsm.Command
+module Dense_map = Ci_rsm.Dense_map
 
 type config = {
   replicas : int array;
@@ -68,7 +69,7 @@ type t = {
   mutable changing_acceptor : bool;
   mutable pending_prepare : Pn.t option;
   mutable prepare_deadline : Sim_time.t option;
-  proposed : (int, Wire.value) Hashtbl.t;
+  proposed : Wire.value Dense_map.t; (* instance -> value *)
   inflight : (int * int, int) Hashtbl.t; (* value key -> instance *)
   mutable next_inst : int;
   pending : Wire.value Queue.t;
@@ -87,7 +88,7 @@ type t = {
   (* Acceptor state (Appendix A: hpn, ap, IamFresh). *)
   mutable hpn : Pn.t;
   mutable iam_fresh : bool;
-  acc_ap : (int, Pn.t * Wire.value) Hashtbl.t;
+  acc_ap : (Pn.t * Wire.value) Dense_map.t; (* instance -> accepted *)
   mutable acc_retired : bool;
       (* The configuration log moved the acceptor role away from this
          node. Its promise state is frozen history: answering prepares
@@ -230,6 +231,13 @@ let cancel_batch_timer t =
 let rec learn_value t ~inst v =
   Hashtbl.remove t.outstanding inst;
   Hashtbl.remove t.inflight (Wire.value_key v);
+  (* A value this node proposed arrives back as a second decoded copy:
+     log the proposed one, so the two tables share it. *)
+  let v =
+    if Dense_map.mem t.proposed inst && Wire.value_equal (Dense_map.get t.proposed inst) v
+    then Dense_map.get t.proposed inst
+    else v
+  in
   let executed = Replica_core.learn t.core ~inst v in
   List.iter (reply_if_mine t) executed;
   batch_decided t ~inst
@@ -291,7 +299,7 @@ and flush_batch t k =
     (fun i v ->
       let inst = base + i in
       Hashtbl.remove t.bat_keys (Wire.value_key v);
-      Hashtbl.replace t.proposed inst v;
+      Dense_map.replace t.proposed inst v;
       Hashtbl.replace t.inflight (Wire.value_key v) inst;
       Hashtbl.replace t.outstanding inst (now t);
       Hashtbl.replace t.slot_batch inst base)
@@ -327,7 +335,7 @@ and propose_value t v =
     else if not (Hashtbl.mem t.inflight key) then begin
       let inst = t.next_inst in
       t.next_inst <- t.next_inst + 1;
-      Hashtbl.replace t.proposed inst v;
+      Dense_map.replace t.proposed inst v;
       Hashtbl.replace t.inflight key inst;
       Hashtbl.replace t.outstanding inst (now t);
       match t.aa with
@@ -347,10 +355,7 @@ let drain_pending t =
    adopting an acceptor). Instances are re-proposed with their original
    values — Lemma 2a's requirement. *)
 let re_propose_uncommitted t =
-  let pairs =
-    Hashtbl.fold (fun inst v acc -> (inst, v) :: acc) t.proposed []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let pairs = Dense_map.to_list t.proposed in
   List.iter
     (fun (inst, v) ->
       if not (Replica_core.is_decided t.core ~inst) then begin
@@ -363,9 +368,7 @@ let re_propose_uncommitted t =
     pairs
 
 let bump_next_inst t =
-  let high =
-    Hashtbl.fold (fun inst _ acc -> max inst acc) t.proposed (-1)
-  in
+  let high = Dense_map.max_key t.proposed in
   t.next_inst <- max t.next_inst (max (high + 1) (Replica_core.first_gap t.core))
 
 (* ----- leadership machinery -------------------------------------------- *)
@@ -460,12 +463,11 @@ let rec acceptor_failure t =
             probe 1
           in
           let carried =
-            Hashtbl.fold
+            Dense_map.fold
               (fun inst v acc ->
                 if Replica_core.is_decided t.core ~inst then acc
                 else (inst, v) :: acc)
               t.proposed []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
           in
           t.iam_leader <- false;
           Paxos_utility.propose (pu t)
@@ -539,10 +541,10 @@ and re_evaluate t =
       | None -> ())
 
 and register_own_acceptor_state t =
-  Hashtbl.iter
+  Dense_map.iter
     (fun inst (_, v) ->
       if not (Replica_core.is_decided t.core ~inst) then
-        Hashtbl.replace t.proposed inst v)
+        Dense_map.replace t.proposed inst v)
     t.acc_ap
 
 (* ----- client entry ----------------------------------------------------- *)
@@ -593,10 +595,7 @@ let on_prepare_request t ~src ~pn ~must_be_fresh =
     else begin
       t.iam_fresh <- false;
       t.hpn <- pn;
-      let accepted =
-        Hashtbl.fold (fun inst slot acc -> (inst, slot) :: acc) t.acc_ap []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
+      let accepted = Dense_map.to_list t.acc_ap in
       send t src (Wire.Op_prepare_response { pn; accepted })
     end
   end
@@ -608,13 +607,14 @@ let on_accept_request t ~src ~inst ~pn ~v =
     || not (Pn.equal pn t.hpn)
   then send t src (Wire.Op_abandon { hpn = t.hpn })
   else
-    match Hashtbl.find_opt t.acc_ap inst with
+    match Dense_map.find_opt t.acc_ap inst with
     | Some (_, v0) ->
       (* Already accepted: re-issue the learn (covers retried
          proposals after a lost-looking learn). *)
       Array.iter (fun dst -> send t dst (Wire.Op_learn { inst; v = v0 })) t.cfg.replicas
     | None ->
-      Hashtbl.replace t.acc_ap inst (pn, v);
+      (* [pn] equals [t.hpn]: keep the one we hold, not the decoded copy. *)
+      Dense_map.replace t.acc_ap inst (t.hpn, v);
       Array.iter (fun dst -> send t dst (Wire.Op_learn { inst; v })) t.cfg.replicas
 
 (* Batched accepts: one proposal-number check covers the whole range;
@@ -632,10 +632,10 @@ let on_accept_batch t ~src ~base ~pn ~vs =
       Array.mapi
         (fun i v ->
           let inst = base + i in
-          match Hashtbl.find_opt t.acc_ap inst with
+          match Dense_map.find_opt t.acc_ap inst with
           | Some (_, v0) -> v0
           | None ->
-            Hashtbl.replace t.acc_ap inst (pn, v);
+            Dense_map.replace t.acc_ap inst (t.hpn, v);
             v)
         vs
     in
@@ -673,7 +673,7 @@ let on_prepare_response t ~src ~pn ~accepted =
     (* registerProposals: the acceptor's accepted values dominate ours
        for their instances (Lemma 2b). *)
     List.iter
-      (fun (inst, (_, v)) -> Hashtbl.replace t.proposed inst v)
+      (fun (inst, (_, v)) -> Dense_map.replace t.proposed inst v)
       accepted;
     bump_next_inst t;
     (* Anything adopted may already have been acked by the previous
@@ -834,13 +834,13 @@ let on_config_entry t ~cseq:_ entry =
     List.iter
       (fun (inst, v) ->
         if not (Replica_core.is_decided t.core ~inst) then
-          Hashtbl.replace t.proposed inst v)
+          Dense_map.replace t.proposed inst v)
       carried;
     if acceptor = t.self then begin
       (* Installed as a fresh backup acceptor: any state left over from
          an earlier tenure belongs to an abandoned epoch. *)
       t.hpn <- Pn.bottom;
-      Hashtbl.reset t.acc_ap;
+      Dense_map.reset t.acc_ap;
       t.iam_fresh <- true;
       t.acc_retired <- false
     end;
@@ -898,7 +898,7 @@ let create ~env ~config =
       changing_acceptor = false;
       pending_prepare = None;
       prepare_deadline = None;
-      proposed = Hashtbl.create 256;
+      proposed = Dense_map.create ();
       inflight = Hashtbl.create 256;
       next_inst = 0;
       pending = Queue.create ();
@@ -913,7 +913,7 @@ let create ~env ~config =
       bat_overdue = false;
       hpn = Pn.bottom;
       iam_fresh = true;
-      acc_ap = Hashtbl.create 256;
+      acc_ap = Dense_map.create ();
       acc_retired = false;
       ls_token = 0;
       ls_ops = Hashtbl.create 8;
@@ -979,7 +979,7 @@ let stable t =
     st_pn_round = t.pn_round;
     st_hpn = t.hpn;
     st_iam_fresh = t.iam_fresh;
-    st_acc_ap = Hashtbl.fold (fun i s acc -> (i, s) :: acc) t.acc_ap [];
+    st_acc_ap = Dense_map.to_list t.acc_ap;
     st_pu = Paxos_utility.stable (pu t);
   }
 
@@ -1003,7 +1003,7 @@ let recover ~env ~config ~stable:st =
       changing_acceptor = false;
       pending_prepare = None;
       prepare_deadline = None;
-      proposed = Hashtbl.create 256;
+      proposed = Dense_map.create ();
       inflight = Hashtbl.create 256;
       next_inst = 0;
       pending = Queue.create ();
@@ -1018,7 +1018,7 @@ let recover ~env ~config ~stable:st =
       bat_overdue = false;
       hpn = Pn.bottom;
       iam_fresh = true;
-      acc_ap = Hashtbl.create 256;
+      acc_ap = Dense_map.create ();
       acc_retired = false;
       ls_token = 0;
       ls_ops = Hashtbl.create 8;
@@ -1054,8 +1054,8 @@ let recover ~env ~config ~stable:st =
   t.pn_round <- st.st_pn_round;
   t.hpn <- st.st_hpn;
   t.iam_fresh <- st.st_iam_fresh;
-  Hashtbl.reset t.acc_ap;
-  List.iter (fun (inst, s) -> Hashtbl.replace t.acc_ap inst s) st.st_acc_ap;
+  Dense_map.reset t.acc_ap;
+  List.iter (fun (inst, s) -> Dense_map.replace t.acc_ap inst s) st.st_acc_ap;
   (* Replay never re-earns roles: whatever the log says, we come back as
      a follower and leadership flows through the takeover machinery. *)
   t.iam_leader <- false;
@@ -1090,7 +1090,7 @@ let holds_lease t = t.iam_leader && lease_on t && lease_valid t ~at:(now t)
 
 let inject_acceptor_reset t =
   t.hpn <- Pn.bottom;
-  Hashtbl.reset t.acc_ap;
+  Dense_map.reset t.acc_ap;
   t.iam_fresh <- true
 
 (* Structural fingerprint for the explorer's visited-state table. Covers
@@ -1113,7 +1113,7 @@ let digest t =
       t.pending_prepare, rel_opt t.prepare_deadline )
   in
   let proposer =
-    ( tbl_list t.proposed, tbl_list t.inflight, t.next_inst,
+    ( Dense_map.to_list t.proposed, tbl_list t.inflight, t.next_inst,
       List.of_seq (Queue.to_seq t.pending),
       sorted_tbl t.outstanding (fun h ->
           Hashtbl.fold (fun i at l -> (i, rel at) :: l) h []),
@@ -1127,7 +1127,7 @@ let digest t =
       tbl_list t.slot_batch, t.bat_timer <> None, t.bat_overdue,
       t.bat_has_fwd )
   in
-  let acceptor = (t.hpn, t.iam_fresh, tbl_list t.acc_ap) in
+  let acceptor = (t.hpn, t.iam_fresh, Dense_map.to_list t.acc_ap) in
   let learner = (t.ls_token, Hashtbl.length t.ls_ops) in
   let lease =
     ( t.grant_holder, rel t.grant_until,

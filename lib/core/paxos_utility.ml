@@ -170,8 +170,7 @@ let acc_slot t cseq =
     Hashtbl.add t.acc cseq s;
     s
 
-let suffix_from t from_ =
-  List.filter (fun (i, _) -> i >= from_) (Op_log.to_list t.log)
+let suffix_from t from_ = Op_log.to_list_from t.log ~from_
 
 let with_attempt t ~cseq ~pn f =
   match t.att with

@@ -49,8 +49,7 @@ let decided_value t ~inst = Op_log.get t.log ~inst
 let first_gap t = Op_log.first_gap t.log
 let highest_decided t = Op_log.highest_decided t.log
 
-let decisions_from t ~from_ =
-  List.filter (fun (i, _) -> i >= from_) (Op_log.to_list t.log)
+let decisions_from t ~from_ = Op_log.to_list_from t.log ~from_
 
 let cached_result t ~client ~req_id =
   Session_table.find t.sessions ~client ~req_id
@@ -73,6 +72,14 @@ let view t =
     decisions = Op_log.to_list t.log;
     fingerprint = Kv_store.fingerprint t.store;
     executed_prefix = t.executed_upto;
+  }
+
+let log t =
+  {
+    Ci_rsm.Consistency.log_replica = t.replica;
+    iter_decisions = (fun f -> Op_log.iter t.log f);
+    log_fingerprint = Kv_store.fingerprint t.store;
+    log_executed_prefix = t.executed_upto;
   }
 
 (* Structural fingerprint for the explorer's visited-state table. The

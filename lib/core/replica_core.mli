@@ -59,7 +59,13 @@ val commits : t -> int
 (** [commits t] is how many instances have been executed. *)
 
 val view : t -> Wire.value Ci_rsm.Consistency.replica_view
-(** [view t] is the snapshot the consistency checker consumes. *)
+(** [view t] is a snapshot of what the consistency checker reads, as
+    plain data (it can be marshalled and hashed). *)
+
+val log : t -> Wire.value Ci_rsm.Consistency.replica_log
+(** [log t] is what the checker reads, iterated in place: no list is
+    built. It reads [t] when iterated, so consume it before [t] moves
+    on. *)
 
 val digest : t -> int
 (** [digest t] is a structural fingerprint of the decided log, store

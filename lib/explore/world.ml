@@ -406,8 +406,11 @@ let views t =
    end-of-run audit, over the world's incrementally kept issued table. *)
 let check t =
   fst
-    (Ci_consensus.Audit.check ~issued:(Hashtbl.find_opt t.issued) ~acked:(acked t)
-       ~views:[ views t ] ~txns:[])
+    (Ci_consensus.Audit.check
+       ~issued:(fun ~client ~req_id -> Hashtbl.find_opt t.issued (client, req_id))
+       ~acked:(fun f -> List.iter (fun (client, req_id) -> f client req_id) (acked t))
+       ~logs:[ List.map Consistency.log_of_view (views t) ]
+       ~txns:[])
 
 let all_acked t =
   Array.for_all

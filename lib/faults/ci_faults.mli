@@ -94,6 +94,7 @@ val partition_cuts : int list list -> (int * int) list
 (** Ordered pairs separated by the grouping (both directions). *)
 
 type crash_rule = { c_node : int; c_at : int; c_restart : int option }
+(** [c_restart] is the absolute restart instant, [c_at + down_for]. *)
 
 val crashes : t -> crash_rule list
 

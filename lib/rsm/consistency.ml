@@ -5,6 +5,21 @@ type 'v replica_view = {
   executed_prefix : int;
 }
 
+type 'v replica_log = {
+  log_replica : int;
+  iter_decisions : (int -> 'v -> unit) -> unit;
+  log_fingerprint : int;
+  log_executed_prefix : int;
+}
+
+let log_of_view v =
+  {
+    log_replica = v.replica;
+    iter_decisions = (fun f -> List.iter (fun (inst, x) -> f inst x) v.decisions);
+    log_fingerprint = v.fingerprint;
+    log_executed_prefix = v.executed_prefix;
+  }
+
 type violation =
   | Disagreement of { inst : int; a : int; b : int }
   | Unproposed of { replica : int; inst : int }
@@ -19,60 +34,72 @@ type report = {
 
 let ok r = r.violations = []
 
-let check ~equal ~proposed ~acked ~key_of views =
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  (* Agreement: first decider of an instance sets the reference. *)
-  let reference : (int, int * 'v) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun view ->
-      List.iter
-        (fun (inst, v) ->
-          match Hashtbl.find_opt reference inst with
-          | None -> Hashtbl.add reference inst (view.replica, v)
-          | Some (owner, v0) ->
-            if not (equal v0 v) then
-              add (Disagreement { inst; a = owner; b = view.replica }))
-        view.decisions)
-    views;
-  (* Non-triviality. *)
-  List.iter
-    (fun view ->
-      List.iter
-        (fun (inst, v) ->
-          if not (proposed v) then add (Unproposed { replica = view.replica; inst }))
-        view.decisions)
-    views;
-  (* State convergence among replicas with equal executed prefixes. *)
+(* One pass per replica log. The four properties' violations are
+   collected separately and reported in property order, each in
+   log-then-instance order. *)
+let check_logs ~equal ~proposed ~iter_acked ~key_of logs =
+  (* Agreement: the first decider of an instance sets its reference.
+     Whether a reference was proposed is remembered with it: a value
+     equal to its reference shares the verdict. *)
+  let owner = Dense_map.create () and refv = Dense_map.create () in
+  let ref_proposed = Dense_map.create () in
+  (* Learned request identities, for session integrity. A value equal
+     to its instance's reference has the reference's identity, so only
+     references and disagreeing values are keyed. *)
+  let learned = Req_map.create () in
+  let learn v =
+    let client, req_id = key_of v in
+    Req_map.replace learned ~client ~req_id ()
+  in
   let by_prefix = Hashtbl.create 16 in
+  let disagreements = ref [] and unproposed = ref [] and diverged = ref [] in
   List.iter
-    (fun view ->
-      match Hashtbl.find_opt by_prefix view.executed_prefix with
-      | None -> Hashtbl.add by_prefix view.executed_prefix view
-      | Some other ->
-        if other.fingerprint <> view.fingerprint then
-          add
-            (Fingerprint_mismatch
-               { a = other.replica; b = view.replica; prefix = view.executed_prefix }))
-    views;
+    (fun log ->
+      let replica = log.log_replica in
+      log.iter_decisions (fun inst v ->
+          let was_proposed =
+            if not (Dense_map.mem owner inst) then begin
+              Dense_map.replace owner inst replica;
+              Dense_map.replace refv inst v;
+              Dense_map.replace ref_proposed inst (proposed v);
+              learn v;
+              Dense_map.get ref_proposed inst
+            end
+            else if equal (Dense_map.get refv inst) v then Dense_map.get ref_proposed inst
+            else begin
+              disagreements :=
+                Disagreement { inst; a = Dense_map.get owner inst; b = replica }
+                :: !disagreements;
+              learn v;
+              proposed v
+            end
+          in
+          if not was_proposed then unproposed := Unproposed { replica; inst } :: !unproposed);
+      (* State convergence among replicas with equal executed prefixes. *)
+      let prefix = log.log_executed_prefix in
+      match Hashtbl.find_opt by_prefix prefix with
+      | None -> Hashtbl.add by_prefix prefix (replica, log.log_fingerprint)
+      | Some (other, fingerprint) ->
+        if fingerprint <> log.log_fingerprint then
+          diverged := Fingerprint_mismatch { a = other; b = replica; prefix } :: !diverged)
+    logs;
   (* Session integrity: every acked request was learned somewhere. *)
-  let learned_keys = Hashtbl.create 1024 in
-  List.iter
-    (fun view ->
-      List.iter
-        (fun (_, v) -> Hashtbl.replace learned_keys (key_of v) ())
-        view.decisions)
-    views;
-  List.iter
-    (fun (client, req_id) ->
-      if not (Hashtbl.mem learned_keys (client, req_id)) then
-        add (Lost_ack { client; req_id }))
-    acked;
+  let lost = ref [] in
+  iter_acked (fun client req_id ->
+      if not (Req_map.mem learned ~client ~req_id) then
+        lost := Lost_ack { client; req_id } :: !lost);
   {
-    violations = List.rev !violations;
-    checked_instances = Hashtbl.length reference;
-    checked_replicas = List.length views;
+    violations =
+      List.rev_append !disagreements
+        (List.rev_append !unproposed (List.rev_append !diverged (List.rev !lost)));
+    checked_instances = Dense_map.length owner;
+    checked_replicas = List.length logs;
   }
+
+let check ~equal ~proposed ~acked ~key_of views =
+  check_logs ~equal ~proposed
+    ~iter_acked:(fun f -> List.iter (fun (client, req_id) -> f client req_id) acked)
+    ~key_of (List.map log_of_view views)
 
 let pp_violation fmt = function
   | Disagreement { inst; a; b } ->

@@ -19,6 +19,19 @@ type 'v replica_view = {
   executed_prefix : int;  (** First unexecuted instance. *)
 }
 
+type 'v replica_log = {
+  log_replica : int;
+  iter_decisions : (int -> 'v -> unit) -> unit;
+      (** Calls its argument on every learned [(instance, value)]. *)
+  log_fingerprint : int;
+  log_executed_prefix : int;
+}
+(** A replica's end state as the checker reads it: a {!replica_view}
+    whose decisions are iterated in place instead of copied into a
+    list, so auditing a long run allocates nothing per decision. *)
+
+val log_of_view : 'v replica_view -> 'v replica_log
+
 type violation =
   | Disagreement of { inst : int; a : int; b : int }
       (** Replicas [a] and [b] learned different values at [inst]. *)
@@ -49,7 +62,21 @@ val check :
     properties. [proposed v] says whether [v] was ever proposed by a
     client; [acked] lists [(client, req_id)] pairs that received
     replies; [key_of v] extracts the [(client, req_id)] identity of a
-    value. *)
+    value. Equal values must have equal identities and be equally
+    proposed: [proposed] runs once per instance, plus once per value
+    that disagrees with its instance's first one. Instances are
+    non-negative. *)
+
+val check_logs :
+  equal:('v -> 'v -> bool) ->
+  proposed:('v -> bool) ->
+  iter_acked:((int -> int -> unit) -> unit) ->
+  key_of:('v -> int * int) ->
+  'v replica_log list ->
+  report
+(** [check_logs] is {!check} over {!replica_log}s, with the acked
+    [(client, req_id)] pairs handed out by [iter_acked f], which calls
+    [f client req_id] on each. Same report as {!check}. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 (** Prints one violation. *)

@@ -1,55 +1,53 @@
 type 'v t = {
   equal : 'v -> 'v -> bool;
-  table : (int, 'v) Hashtbl.t;
-  mutable gap : int; (* smallest possibly-undecided instance *)
-  mutable highest : int option;
+  decided : 'v Dense_map.t; (* instances are dense from 0 *)
+  mutable gap : int; (* smallest undecided instance *)
   mutable bad : (int * 'v * 'v) list;
 }
 
 let create ?(equal = ( = )) () =
-  { equal; table = Hashtbl.create 256; gap = 0; highest = None; bad = [] }
+  { equal; decided = Dense_map.create (); gap = 0; bad = [] }
 
-let advance_gap t =
-  while Hashtbl.mem t.table t.gap do
-    t.gap <- t.gap + 1
-  done
+let is_decided t ~inst = Dense_map.mem t.decided inst
 
 let decide t ~inst v =
   if inst < 0 then invalid_arg "Op_log.decide: negative instance";
-  match Hashtbl.find_opt t.table inst with
-  | Some prev ->
+  if is_decided t ~inst then begin
+    let prev = Dense_map.get t.decided inst in
     if t.equal prev v then `Duplicate
     else begin
       t.bad <- (inst, prev, v) :: t.bad;
       `Conflict prev
     end
-  | None ->
-    Hashtbl.add t.table inst v;
-    (match t.highest with
-     | Some h when h >= inst -> ()
-     | Some _ | None -> t.highest <- Some inst);
-    if inst = t.gap then advance_gap t;
+  end
+  else begin
+    Dense_map.replace t.decided inst v;
+    while is_decided t ~inst:t.gap do
+      t.gap <- t.gap + 1
+    done;
     `New
+  end
 
-let get t ~inst = Hashtbl.find_opt t.table inst
-let is_decided t ~inst = Hashtbl.mem t.table inst
+let get t ~inst = Dense_map.find_opt t.decided inst
 let first_gap t = t.gap
-let highest_decided t = t.highest
-let decided_count t = Hashtbl.length t.table
-let conflicts t = List.rev t.bad
 
-let to_list t =
-  Hashtbl.fold (fun i v acc -> (i, v) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let highest_decided t =
+  let top = Dense_map.max_key t.decided in
+  if top < 0 then None else Some top
+
+let decided_count t = Dense_map.length t.decided
+let conflicts t = List.rev t.bad
+let to_list t = Dense_map.to_list t.decided
+
+let to_list_from t ~from_ =
+  Dense_map.fold_from ~from_ (fun i v acc -> (i, v) :: acc) t.decided []
+
+let iter t f = Dense_map.iter f t.decided
 
 let iter_prefix t ~from_ f =
   let i = ref from_ in
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.table !i with
-    | Some v ->
-      f !i v;
-      incr i
-    | None -> continue := false
+  while is_decided t ~inst:!i do
+    f !i (Dense_map.get t.decided !i);
+    incr i
   done;
   !i

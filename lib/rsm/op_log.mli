@@ -3,7 +3,10 @@
     Consensus decides a value per instance number, but instances may be
     decided out of order (e.g. during a leader change). The log records
     decisions as they arrive and exposes the executable prefix: the
-    maximal contiguous run of decided instances starting at 0. *)
+    maximal contiguous run of decided instances starting at 0.
+
+    Instances are dense from 0, so the log is a {!Dense_map}: one word
+    per instance up to the highest decided one, not a hash table. *)
 
 type 'v t
 (** A log of decided values of type ['v]. *)
@@ -40,6 +43,14 @@ val conflicts : 'v t -> (int * 'v * 'v) list
 
 val to_list : 'v t -> (int * 'v) list
 (** [to_list t] is all decisions sorted by instance. *)
+
+val to_list_from : 'v t -> from_:int -> (int * 'v) list
+(** [to_list_from t ~from_] is the decisions at instances [>= from_],
+    sorted by instance. *)
+
+val iter : 'v t -> (int -> 'v -> unit) -> unit
+(** [iter t f] calls [f inst v] on every decision in instance order,
+    without building a list. *)
 
 val iter_prefix : 'v t -> from_:int -> (int -> 'v -> unit) -> int
 (** [iter_prefix t ~from_ f] calls [f] on decided instances [from_,

@@ -1,13 +1,11 @@
-type t = (int * int, Command.result) Hashtbl.t
+type t = Command.result Req_map.t
 
-let create () = Hashtbl.create 256
-
-let find t ~client ~req_id = Hashtbl.find_opt t (client, req_id)
+let create = Req_map.create
+let find = Req_map.find
 
 let record t ~client ~req_id r =
-  assert (not (Hashtbl.mem t (client, req_id)));
-  Hashtbl.add t (client, req_id) r
+  assert (not (Req_map.mem t ~client ~req_id));
+  Req_map.add t ~client ~req_id r
 
-let executed t ~client ~req_id = Hashtbl.mem t (client, req_id)
-
-let size t = Hashtbl.length t
+let executed = Req_map.mem
+let size = Req_map.size

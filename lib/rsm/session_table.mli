@@ -7,7 +7,8 @@
     are skipped and answered from the cache. *)
 
 type t
-(** A mutable session table. *)
+(** A mutable session table, stored densely per client (see
+    {!Req_map}). *)
 
 val create : unit -> t
 (** [create ()] is an empty table. *)

@@ -133,6 +133,8 @@ type nem_ctl = {
       (** Capture the durable registers, discard everything volatile. *)
   on_restart : unit -> unit;
       (** Rebuild the replica through the protocol's [recover]. *)
+  mutable crashed_at : int; (* when the last crash was applied, -1: never *)
+  mutable restarted_at : int; (* likewise for the last restart *)
 }
 
 (* Per-node runtime state. Everything here is owned by the node's
@@ -287,9 +289,13 @@ let env_for st ~t0 ~seed =
     note_phase = (fun ~phase:_ -> ());
   }
 
-(* How long to spin on an idle loop before yielding the core. On a host
-   with fewer cores than domains (the 1-core CI box included) the
-   [sleepf] arm is what lets the other domains run at all. *)
+(* How long to spin on an idle loop before parking. A parked node
+   blocks in [Transport.wait] until a peer pushes into one of its rings
+   (the sender rings its doorbell), its next timer or nemesis transition
+   is due, or the run stops; each hop of a commit costs one wake-up, not
+   a sleep's timer slack. [idle_sleep_s] is left only for the two cases
+   nothing would wake: a node whose outbox holds parked sends (no one
+   signals freed ring slots) and a Down/Paused node. *)
 let spin_budget = 200
 let idle_sleep_s = 50e-6
 
@@ -300,9 +306,11 @@ let rec nem_transitions ctl now =
     (match tr with
     | `Crash ->
       ctl.mode <- Down;
+      ctl.crashed_at <- now;
       ctl.on_crash ()
     | `Restart ->
       ctl.mode <- Up;
+      ctl.restarted_at <- now;
       ctl.on_restart ()
     | `Pause -> if ctl.mode = Up then ctl.mode <- Paused
     | `Resume -> if ctl.mode = Paused then ctl.mode <- Up);
@@ -317,22 +325,26 @@ let rec run_selfq st acc =
     run_selfq st (acc + 1)
   end
 
+(* The absolute instant a parked node must wake by on its own: its
+   earliest timer or nemesis transition ([max_int]: none). *)
+let wake_deadline st ~t0 =
+  let d = Timer_wheel.next_deadline st.timers in
+  let d =
+    match st.nem with
+    | Some { transitions = (t, _) :: _; _ } -> min d t
+    | Some { transitions = []; _ } | None -> d
+  in
+  if d = Ci_engine.Event_queue.no_event then max_int else t0 + d
+
 (* The hot loop. Deliberately allocation-free on its steady state —
    every helper it calls is a top-level tail-recursive function, the
    only heap traffic is the decoded inbound messages and the selfq
    cells. (The previous incarnation built closures and refs on every
    iteration; at spin rates that WAS the live runtime's allocation
-   profile.) [ctl], when given, is polled every 256 iterations — the
-   socket transport's out-of-band phase control. *)
-let event_loop ?ctl st ~t0 ~stop ~m_work =
+   profile.) *)
+let event_loop st ~t0 ~stop ~m_work =
   let idle = ref 0 in
-  let tick = ref 0 in
   while not (Atomic.get stop) do
-    (match ctl with
-    | Some f ->
-      incr tick;
-      if !tick land 255 = 0 then f ()
-    | None -> ());
     (* Nemesis transitions due at this instant, applied by the owning
        domain itself — crash/restart never race the handler. *)
     (match st.nem with
@@ -361,7 +373,8 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       else begin
         incr idle;
         if !idle <= spin_budget then Domain.cpu_relax ()
-        else Unix.sleepf idle_sleep_s
+        else if Transport.backlogged st.tr then Unix.sleepf idle_sleep_s
+        else Transport.wait st.tr ~deadline:(wake_deadline st ~t0)
       end
   done
 
@@ -426,6 +439,21 @@ let timeline ~t_quiesce completions =
 
 (* ---------- in-process runner: domains over byte rings ---------- *)
 
+(* Joins every domain before re-raising the first failure, so no
+   domain outlives the doorbells it may be parked on. *)
+let join_all domains =
+  let failures =
+    Array.map
+      (fun d ->
+        match Domain.join d with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+      domains
+  in
+  Array.iter
+    (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+    failures
+
 let run_inproc spec =
   let d = deployment spec in
   let n_clients = spec.n_clients in
@@ -436,6 +464,8 @@ let run_inproc spec =
   let mesh =
     Transport.rings_mesh ~n ~slots:spec.queue_slots ~slot_size:spec.slot_size
   in
+  let bells = Transport.doorbells n in
+  Fun.protect ~finally:(fun () -> Transport.close_doorbells bells) @@ fun () ->
   (* Sender-side link rules, per source node. [None] for every node
      when the schedule carries none — the fault-free send path stays
      untouched. *)
@@ -457,7 +487,9 @@ let run_inproc spec =
   let states =
     Array.init n (fun id ->
         fresh_state ~id
-          ~tr:(Transport.rings_endpoint mesh ~id ~outbox_cap:spec.outbox_cap)
+          ~tr:
+            (Transport.rings_endpoint mesh ~id ~outbox_cap:spec.outbox_cap
+               ~doorbells:bells)
           ~nem_links:(link_rules_of id)
           ~nem_seed:(spec.nemesis.Ci_faults.seed + (id * 7919)))
   in
@@ -512,9 +544,7 @@ let run_inproc spec =
     List.iter
       (fun c ->
         add c.Ci_faults.c_node c.Ci_faults.c_at `Crash;
-        Option.iter
-          (fun down -> add c.c_node (c.c_at + down) `Restart)
-          c.Ci_faults.c_restart)
+        Option.iter (fun at -> add c.c_node at `Restart) c.Ci_faults.c_restart)
       (Ci_faults.crashes spec.nemesis);
     List.iter
       (fun p ->
@@ -541,7 +571,14 @@ let run_inproc spec =
         in
         st.nem <-
           Some
-            { transitions = List.sort compare trs; mode = Up; on_crash; on_restart })
+            {
+              transitions = List.sort compare trs;
+              mode = Up;
+              on_crash;
+              on_restart;
+              crashed_at = -1;
+              restarted_at = -1;
+            })
       per_node
   end;
   let domains =
@@ -561,7 +598,8 @@ let run_inproc spec =
   Atomic.set quiesce true;
   Unix.sleepf spec.drain_s;
   Atomic.set stop true;
-  Array.iter Domain.join domains;
+  Array.iter Transport.wake bells;
+  join_all domains;
   (* Everything below reads domain-owned state after the joins. *)
   let wall_s = float_of_int t_quiesce /. 1e9 in
   let load =
@@ -579,10 +617,9 @@ let run_inproc spec =
     + (match load with Some s -> Ci_load.Load_stats.completed s | None -> 0)
   in
   let latencies =
-    Array.to_list client_stats
-    |> List.concat_map (fun s ->
-           Array.to_list (Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce))
-    |> Array.of_list
+    Array.concat
+      (Array.to_list
+         (Array.map (Run_stats.latencies_in ~from_:0 ~until_:t_quiesce) client_stats))
   in
   let retries =
     Array.fold_left (fun acc c -> acc + Client.retries c) 0 nodes.Deployment.clients
@@ -631,12 +668,25 @@ let run_inproc spec =
   Metrics.set_int metrics "live.queue.outbox_dropped"
     queues_total.q_outbox_dropped;
   let completions =
-    Array.to_list client_stats
-    |> List.concat_map (fun s ->
-           Array.to_list (Run_stats.completions_in s ~from_:0 ~until_:t_quiesce))
-    |> Array.of_list
+    Array.concat
+      (Array.to_list
+         (Array.map (Run_stats.completions_in ~from_:0 ~until_:t_quiesce) client_stats))
   in
-  Array.sort compare completions;
+  Summary.sort_ascending completions;
+  (* When each crashed replica actually went down and came back, from
+     its own loop's clock: the nemesis schedule made observable. *)
+  Array.iter
+    (fun st ->
+      Option.iter
+        (fun ctl ->
+          let set what at =
+            if at >= 0 then
+              Metrics.set_int metrics (Printf.sprintf "live.faults.node%d.%s_ns" st.id what) at
+          in
+          set "crashed_at" ctl.crashed_at;
+          set "restarted_at" ctl.restarted_at)
+        st.nem)
+    states;
   let failover =
     Deployment.publish_failover metrics ~prefix:"live." d ~until_:t_quiesce
       ~dropped:(Array.fold_left (fun acc s -> acc + s.n_fault_dropped) 0 states)
@@ -696,12 +746,6 @@ type harvest = {
 let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   let d = deployment spec in
   let client_base = Deployment.client_id d 0 in
-  let tr = Transport.socket_endpoint ~id ~fds ~outbox_cap:spec.outbox_cap in
-  let st =
-    fresh_state ~id ~tr ~nem_links:None
-      ~nem_seed:(spec.nemesis.Ci_faults.seed + (id * 7919))
-  in
-  let env = env_for st ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
   Unix.set_nonblock ctl_fd;
@@ -716,6 +760,14 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
       | _ -> ())
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   in
+  (* The control socket is one more descriptor the idle node waits on. *)
+  let tr = Transport.socket_endpoint ~id ~fds ~outbox_cap:spec.outbox_cap in
+  Transport.watch tr ctl_fd ctl;
+  let st =
+    fresh_state ~id ~tr ~nem_links:None
+      ~nem_seed:(spec.nemesis.Ci_faults.seed + (id * 7919))
+  in
+  let env = env_for st ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
   let replica =
     if id < client_base then
       Some
@@ -742,7 +794,7 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   (match replica with
   | Some r -> Protocol.start r
   | None -> Option.iter Client.start client);
-  event_loop ~ctl st ~t0 ~stop ~m_work;
+  event_loop st ~t0 ~stop ~m_work;
   st.alloc_bytes <- Gc.allocated_bytes () -. a0;
   let harvest =
     {
@@ -853,11 +905,7 @@ let run_socket spec =
       0 client_stats
   in
   let latencies =
-    List.concat_map
-      (fun s ->
-        Array.to_list (Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce))
-      client_stats
-    |> Array.of_list
+    Array.concat (List.map (Run_stats.latencies_in ~from_:0 ~until_:t_quiesce) client_stats)
   in
   let retries =
     List.fold_left (fun acc h -> acc + h.h_retries) 0 client_harvests
@@ -878,17 +926,23 @@ let run_socket spec =
         Array.fold_left (fun acc h -> acc + h.h_outbox_dropped) 0 harvests;
     }
   in
-  let issued = Hashtbl.create 4096 in
+  let issued = Ci_rsm.Req_map.create () in
   List.iter
     (fun h ->
       List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace issued (h.h_client_node, req_id) cmd)
+        (fun (req_id, cmd) ->
+          Ci_rsm.Req_map.replace issued ~client:h.h_client_node ~req_id cmd)
         h.h_issued)
     client_harvests;
   let consistency, _ =
-    Ci_consensus.Audit.check ~issued:(Hashtbl.find_opt issued)
-      ~acked:(List.concat_map (fun h -> h.h_acked) client_harvests)
-      ~views:[ Array.to_list harvests |> List.filter_map (fun h -> h.h_view) ]
+    Ci_consensus.Audit.check ~issued:(Ci_rsm.Req_map.find issued)
+      ~acked:(fun f ->
+        List.iter (fun h -> List.iter (fun (c, r) -> f c r) h.h_acked) client_harvests)
+      ~logs:
+        [
+          Array.to_list harvests
+          |> List.filter_map (fun h -> Option.map Consistency.log_of_view h.h_view);
+        ]
       ~txns:[]
   in
   let metrics = Metrics.create () in
@@ -908,13 +962,9 @@ let run_socket spec =
   Metrics.set_int metrics "live.queue.outbox_dropped"
     queues_total.q_outbox_dropped;
   let completions =
-    List.concat_map
-      (fun s ->
-        Array.to_list (Run_stats.completions_in s ~from_:0 ~until_:t_quiesce))
-      client_stats
-    |> Array.of_list
+    Array.concat (List.map (Run_stats.completions_in ~from_:0 ~until_:t_quiesce) client_stats)
   in
-  Array.sort compare completions;
+  Summary.sort_ascending completions;
   {
     spec;
     cores = Domain.recommended_domain_count ();

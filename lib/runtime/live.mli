@@ -182,9 +182,10 @@ type result = {
 
 val run : spec -> result
 (** [run spec] executes one live run and joins every domain (or reaps
-    every forked process) before returning. On hosts with fewer cores
-    than nodes the event loops fall back from spinning to sleeping so
-    oversubscribed runs still make progress. On the socket transport
+    every forked process) before returning. An idle event loop spins
+    briefly, then blocks until a peer sends to it or its next timer is
+    due (see {!Transport.wait}), so oversubscribed hosts still make
+    progress and every descriptor it opened is closed again. On the socket transport
     the usual [Unix.Unix_error] exceptions escape if the host cannot
     provide sockets or processes.
     @raise Invalid_argument on a malformed spec (see field docs). *)

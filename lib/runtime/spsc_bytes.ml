@@ -143,6 +143,8 @@ let rec try_pop q =
     end
   end
 
+let is_empty q = Atomic.get q.head >= Atomic.get q.tail
+
 let pushes q = q.n_push
 let pops q = q.n_pop
 let occupancy_peak q = q.occ_peak

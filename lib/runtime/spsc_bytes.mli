@@ -52,6 +52,11 @@ val try_push : t -> Ci_consensus.Wire.t -> bool
 val try_pop : t -> Ci_consensus.Wire.t option
 (** Consumer only. Decodes and frees the slots of the oldest message. *)
 
+val is_empty : t -> bool
+(** Consumer only. [true] iff no message is waiting. Allocates nothing:
+    the idle path re-checks every in-ring with it after announcing that
+    it is about to park. *)
+
 (** {2 Statistics}
 
     Single-writer counters, same read discipline as {!Spsc}: push-side

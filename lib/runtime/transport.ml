@@ -17,12 +17,29 @@ type peer = {
   mutable closed : bool;
 }
 
+(* A node's doorbell: [parked] is set while the node is about to block
+   on [rd] (or blocked there); a sender that finds it set claims it
+   with a CAS and writes one byte to [wr]. At most one byte per park,
+   so the pipe never fills. *)
+type doorbell = {
+  parked : bool Atomic.t;
+  rd : Unix.file_descr; (* non-blocking *)
+  wr : Unix.file_descr; (* non-blocking *)
+  rd_set : Unix.file_descr list; (* [[rd]], built once for select *)
+  byte : Bytes.t;
+  scratch : Bytes.t; (* drain buffer, owner only *)
+}
+
 type kind =
   | Rings of {
       inqs : Spsc_bytes.t option array; (* indexed by src *)
       outqs : Spsc_bytes.t option array; (* indexed by dst *)
+      bells : doorbell array; (* indexed by node *)
     }
-  | Socket of { peers : peer option array }
+  | Socket of {
+      peers : peer option array;
+      mutable ctl : (Unix.file_descr * (unit -> unit)) option;
+    }
 
 type t = {
   id : int;
@@ -59,11 +76,56 @@ let make ~id ~n ~outbox_cap kind =
     full_kinds = Hashtbl.create 8;
   }
 
-let rings_endpoint mesh ~id ~outbox_cap =
+let pad () = ignore (Sys.opaque_identity (Array.make 15 0))
+
+let doorbells n =
+  Array.init n (fun _ ->
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock rd;
+      Unix.set_nonblock wr;
+      pad ();
+      (* Padded apart: every send reads the destination's flag, every
+         park writes the owner's. *)
+      let parked = Atomic.make false in
+      pad ();
+      {
+        parked;
+        rd;
+        wr;
+        rd_set = [ rd ];
+        byte = Bytes.make 1 '!';
+        scratch = Bytes.create 64;
+      })
+
+let close_doorbells bells =
+  Array.iter
+    (fun b ->
+      (try Unix.close b.rd with Unix.Unix_error _ -> ());
+      try Unix.close b.wr with Unix.Unix_error _ -> ())
+    bells
+
+let wake b =
+  try ignore (Unix.single_write b.wr b.byte 0 1)
+  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+
+(* Sender side, after a successful push: one atomic load when the
+   receiver is awake, a CAS and a one-byte write when it is parked. *)
+let notify b =
+  if Atomic.get b.parked && Atomic.compare_and_set b.parked true false then wake b
+
+let rec drain_bell b =
+  match Unix.read b.rd b.scratch 0 (Bytes.length b.scratch) with
+  | 0 -> ()
+  | k -> if k = Bytes.length b.scratch then drain_bell b
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+
+let rings_endpoint mesh ~id ~outbox_cap ~doorbells =
   let n = Array.length mesh in
+  if Array.length doorbells <> n then
+    invalid_arg "Transport.rings_endpoint: one doorbell per node";
   let inqs = mesh.(id) in
   let outqs = Array.init n (fun dst -> mesh.(dst).(id)) in
-  make ~id ~n ~outbox_cap (Rings { inqs; outqs })
+  make ~id ~n ~outbox_cap (Rings { inqs; outqs; bells = doorbells })
 
 let frame_header = 4
 let read_chunk = 65536
@@ -90,7 +152,12 @@ let socket_endpoint ~id ~fds ~outbox_cap =
             })
       fds
   in
-  make ~id ~n:(Array.length fds) ~outbox_cap (Socket { peers })
+  make ~id ~n:(Array.length fds) ~outbox_cap (Socket { peers; ctl = None })
+
+let watch t fd f =
+  match t.kind with
+  | Socket s -> s.ctl <- Some (fd, f)
+  | Rings _ -> invalid_arg "Transport.watch: socket endpoints only"
 
 (* ---------- socket plumbing ---------- *)
 
@@ -201,13 +268,14 @@ let park t ~dst msg =
 let send t ~dst msg =
   if dst < 0 || dst >= t.n then invalid_arg "Transport.send: unknown node";
   match t.kind with
-  | Rings { outqs; _ } -> (
+  | Rings { outqs; bells; _ } -> (
     match outqs.(dst) with
     | None -> invalid_arg "Transport.send: no link to destination"
     | Some q ->
-      if Queue.is_empty t.outbox.(dst) && Spsc_bytes.try_push q msg then ()
+      if Queue.is_empty t.outbox.(dst) && Spsc_bytes.try_push q msg then
+        notify bells.(dst)
       else park t ~dst msg)
-  | Socket { peers } -> (
+  | Socket { peers; _ } -> (
     match peers.(dst) with
     | None -> invalid_arg "Transport.send: no link to destination"
     | Some p ->
@@ -223,15 +291,18 @@ let rec flush_ring q ob acc =
   end
   else acc
 
-let rec flush_rings t outqs dst acc =
+let rec flush_rings t outqs bells dst acc =
   if dst >= t.n then acc
   else
     let acc =
       match outqs.(dst) with
       | None -> acc
-      | Some q -> flush_ring q t.outbox.(dst) acc
+      | Some q ->
+        let moved = flush_ring q t.outbox.(dst) 0 in
+        if moved > 0 then notify bells.(dst);
+        acc + moved
     in
-    flush_rings t outqs (dst + 1) acc
+    flush_rings t outqs bells (dst + 1) acc
 
 let rec flush_sock t p ob acc =
   if Queue.is_empty ob then acc
@@ -256,8 +327,8 @@ let rec flush_socks t peers dst acc =
 
 let flush t =
   match t.kind with
-  | Rings { outqs; _ } -> flush_rings t outqs 0 0
-  | Socket { peers } -> flush_socks t peers 0 0
+  | Rings { outqs; bells; _ } -> flush_rings t outqs bells 0 0
+  | Socket { peers; _ } -> flush_socks t peers 0 0
 
 let rec drain_ring q f ~src budget acc =
   if budget <= 0 then acc
@@ -296,7 +367,62 @@ let rec drain_socks t peers f src acc =
 let drain t f =
   match t.kind with
   | Rings { inqs; _ } -> drain_rings t inqs f 0 0
-  | Socket { peers } -> drain_socks t peers f 0 0
+  | Socket { peers; _ } -> drain_socks t peers f 0 0
+
+(* ---------- idling ---------- *)
+
+let backlogged t =
+  Array.exists (fun ob -> not (Queue.is_empty ob)) t.outbox
+  ||
+  match t.kind with
+  | Rings _ -> false
+  | Socket { peers; _ } ->
+    Array.exists
+      (function Some p -> p.wpos < p.wend && not p.closed | None -> false)
+      peers
+
+let timeout_s ~deadline =
+  if deadline = max_int then -1.
+  else Float.max 0. (float_of_int (deadline - Clock.now_ns ()) /. 1e9)
+
+let select_read fds timeout =
+  match Unix.select fds [] [] timeout with
+  | readable, _, _ -> readable
+  | exception Unix.Unix_error (EINTR, _, _) -> []
+
+let rec rings_empty inqs src =
+  src >= Array.length inqs
+  || (match inqs.(src) with None -> true | Some q -> Spsc_bytes.is_empty q)
+     && rings_empty inqs (src + 1)
+
+(* Park protocol: announce, re-check, block. OCaml 5 atomics are
+   sequentially consistent: the sender publishes [tail] and then reads
+   [parked]; we publish [parked] and then read every [tail]. At least
+   one side sees the other's write, so a push either shows up in the
+   re-check or rings the bell — no wake-up is lost. *)
+let wait t ~deadline =
+  match t.kind with
+  | Rings { inqs; bells; _ } ->
+    let b = bells.(t.id) in
+    Atomic.set b.parked true;
+    (if rings_empty inqs 0 then
+       let timeout = timeout_s ~deadline in
+       if timeout <> 0. then ignore (select_read b.rd_set timeout));
+    Atomic.set b.parked false;
+    drain_bell b
+  | Socket { peers; ctl } ->
+    let fds =
+      Array.fold_left
+        (fun acc p ->
+          match p with Some p when not p.closed -> p.fd :: acc | _ -> acc)
+        [] peers
+    in
+    let fds = match ctl with Some (fd, _) -> fd :: fds | None -> fds in
+    let timeout = timeout_s ~deadline in
+    if timeout <> 0. then
+      match (ctl, select_read fds timeout) with
+      | Some (fd, on_ctl), readable when List.mem fd readable -> on_ctl ()
+      | _ -> ()
 
 let clear_outboxes t = Array.iter Queue.clear t.outbox
 

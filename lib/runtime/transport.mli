@@ -1,6 +1,6 @@
 (** Pluggable point-to-point transports for the live runtime.
 
-    One endpoint per node, three operations — the contract the event
+    One endpoint per node, four operations — the contract the event
     loop in {!Live} runs against, whatever the bytes travel over:
 
     - [send ~dst msg]: hand a message to the transport. Never blocks.
@@ -14,6 +14,13 @@
       specified (as on a real NIC).
     - [drain f]: deliver every receivable message to [f ~src msg],
       budgeted per source so one chatty peer cannot starve the rest.
+    - [wait ~deadline]: block the idle node until a message may have
+      arrived or the deadline passes, whichever comes first. On byte
+      rings each node has a {!doorbell}: the receiver announces that it
+      is about to park, re-checks its rings and blocks on a pipe; a
+      sender that finds the flag set after a push writes one byte. On
+      sockets it [select]s on the peer sockets and the control
+      descriptor.
 
     Two implementations:
 
@@ -37,17 +44,46 @@ val rings_mesh :
 (** Full mesh for [n] nodes: [mesh.(dst).(src)] carries [src -> dst];
     the diagonal is [None]. *)
 
+type doorbell
+(** One node's wake-up channel on the rings backend: a parked flag and
+    a non-blocking pipe. *)
+
+val doorbells : int -> doorbell array
+(** [doorbells n] is one fresh doorbell per node of an [n]-node mesh.
+    Each holds two file descriptors until {!close_doorbells}. *)
+
+val close_doorbells : doorbell array -> unit
+(** Closes every descriptor; call once the endpoints' domains joined. *)
+
+val wake : doorbell -> unit
+(** Wakes the doorbell's owner unconditionally: a parked owner returns
+    from {!wait}, an awake one returns from its next {!wait} at once.
+    For out-of-band events, such as a stop flag, that no push
+    announces. *)
+
 val rings_endpoint :
-  Spsc_bytes.t option array array -> id:int -> outbox_cap:int -> t
+  Spsc_bytes.t option array array ->
+  id:int ->
+  outbox_cap:int ->
+  doorbells:doorbell array ->
+  t
 (** Node [id]'s endpoint of a {!rings_mesh}: row [id] are its in-queues
     (it is their only consumer), column [id] its out-queues (only
-    producer). *)
+    producer). [doorbells.(i)] is node [i]'s doorbell: the endpoint
+    parks on its own and rings its peers'.
+    @raise Invalid_argument unless there is one doorbell per node. *)
 
 val socket_endpoint :
   id:int -> fds:Unix.file_descr option array -> outbox_cap:int -> t
 (** Node [id]'s endpoint over [fds.(peer)], one connected stream socket
     per peer ([None] on the diagonal). The descriptors are switched to
     non-blocking and owned by the endpoint from here on. *)
+
+val watch : t -> Unix.file_descr -> (unit -> unit) -> unit
+(** [watch t fd f] makes [fd] one more descriptor {!wait} blocks on:
+    once it is readable, {!wait} calls [f], which should read from it
+    (an out-of-band control channel). Replaces any earlier watch.
+    @raise Invalid_argument on a rings endpoint. *)
 
 val send : t -> dst:int -> Ci_consensus.Wire.t -> unit
 (** @raise Invalid_argument on a destination with no link (including
@@ -58,6 +94,18 @@ val flush : t -> int
 
 val drain : t -> (src:int -> Ci_consensus.Wire.t -> unit) -> int
 (** Returns the number of messages delivered to the handler. *)
+
+val backlogged : t -> bool
+(** Whether sends are parked in an outbox (or, on sockets, a frame is
+    half written). Nothing wakes a node when a peer frees ring slots
+    or the kernel frees buffer space, so a backlogged node must poll
+    {!flush} instead of calling {!wait}. *)
+
+val wait : t -> deadline:int -> unit
+(** [wait t ~deadline] blocks until a peer may have sent to [t], or
+    until {!Clock.now_ns} reaches [deadline] ([max_int]: no deadline).
+    It may return early and spuriously; the caller re-polls. Call it
+    only after a {!drain} found nothing and when not {!backlogged}. *)
 
 val clear_outboxes : t -> unit
 (** Drop every parked message — a crashing node's NIC loses its queue. *)

@@ -20,12 +20,16 @@ let quantile sorted q =
   let rank = int_of_float (ceil (q *. float_of_int n)) in
   sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
 
+let sort_ascending a =
+  let rec sorted i = i >= Array.length a || (a.(i - 1) <= a.(i) && sorted (i + 1)) in
+  if not (sorted 1) then Array.stable_sort Int.compare a
+
 let of_samples a =
   let n = Array.length a in
   if n = 0 then empty
   else begin
     let sorted = Array.copy a in
-    Array.sort compare sorted;
+    sort_ascending sorted;
     let total = Array.fold_left (fun acc x -> acc +. float_of_int x) 0. sorted in
     let mean = total /. float_of_int n in
     let var =

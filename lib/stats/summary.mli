@@ -19,6 +19,10 @@ val of_samples : int array -> t
 (** [of_samples a] computes the summary. [a] is not modified. Quantiles
     use the nearest-rank method. *)
 
+val sort_ascending : int array -> unit
+(** [sort_ascending a] sorts [a] in place; an already sorted array
+    (completion instants in recording order) costs one pass. *)
+
 val quantile : int array -> float -> int
 (** [quantile sorted q] is the nearest-rank [q]-quantile ([0 <= q <= 1])
     of a {e sorted} non-empty array. *)

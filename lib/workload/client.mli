@@ -73,8 +73,15 @@ val issued : t -> (int * Ci_rsm.Command.t) list
 (** [issued t] is every [(req_id, command)] this client proposed — the
     ground truth for the non-triviality check. *)
 
+val find_issued : t -> req_id:int -> Ci_rsm.Command.t option
+(** [find_issued t ~req_id] is the command proposed under [req_id]. *)
+
 val acked_writes : t -> (int * int) list
 (** [acked_writes t] is the [(client_node, req_id)] pairs of
     acknowledged {e write} requests — the ground truth for the
     session-integrity check (reads are excluded: they may legitimately
     be served without being learned). *)
+
+val iter_acked_writes : t -> (int -> int -> unit) -> unit
+(** [iter_acked_writes t f] calls [f client_node req_id] on each pair
+    of {!acked_writes}, in the same order, without building the list. *)

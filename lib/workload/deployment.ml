@@ -243,11 +243,14 @@ let restart d nodes i env =
   | None -> invalid_arg "Deployment.restart: replica never crashed"
 
 let audit d nodes =
-  let issued = Hashtbl.create 4096 in
+  (* Closed-loop clients answer from their own request logs, without a
+     copy; the drivers' and participants' proposals go into one table. *)
+  let by_node = Array.make (n_nodes d) None in
+  Array.iter (fun c -> by_node.(Client.node_id c) <- Some c) nodes.clients;
+  let others = Ci_rsm.Req_map.create () in
   let add id =
-    List.iter (fun (req_id, cmd) -> Hashtbl.replace issued (id, req_id) cmd)
+    List.iter (fun (req_id, cmd) -> Ci_rsm.Req_map.replace others ~client:id ~req_id cmd)
   in
-  Array.iter (fun c -> add (Client.node_id c) (Client.issued c)) nodes.clients;
   Array.iter
     (fun dr -> add (Open_client.node_id dr) (Open_client.issued dr))
     nodes.drivers;
@@ -256,21 +259,27 @@ let audit d nodes =
   Array.iteri
     (fun g p -> add (entry d g) (Twopc.Participant.issued p))
     nodes.participants;
-  let acked =
-    (Array.to_list nodes.clients |> List.concat_map Client.acked_writes)
-    @ (Array.to_list nodes.drivers |> List.concat_map Open_client.acked_writes)
+  let acked f =
+    Array.iter (fun c -> Client.iter_acked_writes c f) nodes.clients;
+    Array.iter
+      (fun dr -> List.iter (fun (node, req_id) -> f node req_id) (Open_client.acked_writes dr))
+      nodes.drivers
   in
-  let views =
+  let logs =
     List.init d.groups (fun g ->
         Array.to_list (group_members d g)
         |> List.map (fun i ->
-               Ci_consensus.Replica_core.view
-                 (Protocol.replica_core nodes.replicas.(i))))
+               Ci_consensus.Replica_core.log (Protocol.replica_core nodes.replicas.(i))))
   in
   let txns =
     Array.to_list nodes.routers |> List.concat_map Shard.Router.txn_reports
   in
-  Ci_consensus.Audit.check ~issued:(Hashtbl.find_opt issued) ~acked ~views ~txns
+  let issued ~client ~req_id =
+    match if client >= 0 && client < Array.length by_node then by_node.(client) else None with
+    | Some c -> Client.find_issued c ~req_id
+    | None -> Ci_rsm.Req_map.find others ~client ~req_id
+  in
+  Ci_consensus.Audit.check ~issued ~acked ~logs ~txns
 
 (* ----- publishing --------------------------------------------------------- *)
 

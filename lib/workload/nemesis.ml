@@ -90,9 +90,7 @@ let install machine ~nemesis ~crash ~restart ~pause ~resume =
         Sim.schedule_at sim ~time:c.Ci_faults.c_at (fun () -> crash ~node);
         match c.Ci_faults.c_restart with
         | None -> ()
-        | Some down_for ->
-          Sim.schedule_at sim ~time:(c.c_at + down_for) (fun () ->
-              restart ~node))
+        | Some at -> Sim.schedule_at sim ~time:at (fun () -> restart ~node))
       (Ci_faults.crashes nemesis);
     List.iter
       (fun p ->

@@ -68,6 +68,38 @@ let test_pp () =
   Alcotest.(check bool) "mentions disagreement" true
     (String.length s > 0 && not (Consistency.ok r))
 
+(* Every violation kind at once, the reported list pinned in full:
+   agreement in view-then-instance order, then non-triviality, then
+   state convergence, then lost acks in ack order. *)
+let test_all_kinds_ordered () =
+  let key_of v = (String.length v, Char.code v.[0]) in
+  let r =
+    Consistency.check ~equal:String.equal
+      ~proposed:(fun v -> v <> "evil")
+      ~acked:[ (1, Char.code 'a'); (7, 7); (1, Char.code 'z') ]
+      ~key_of
+      [
+        view 0 [ (0, "a"); (1, "b"); (2, "evil") ] 10 3;
+        view 1 [ (0, "a"); (1, "B"); (3, "x") ] 20 2;
+        view 2 [ (0, "a"); (1, "b"); (2, "evil"); (3, "y") ] 11 3;
+      ]
+  in
+  let violation = Alcotest.testable Consistency.pp_violation ( = ) in
+  Alcotest.(check (list violation))
+    "violations, in order"
+    [
+      Consistency.Disagreement { inst = 1; a = 0; b = 1 };
+      Consistency.Disagreement { inst = 3; a = 1; b = 2 };
+      Consistency.Unproposed { replica = 0; inst = 2 };
+      Consistency.Unproposed { replica = 2; inst = 2 };
+      Consistency.Fingerprint_mismatch { a = 0; b = 2; prefix = 3 };
+      Consistency.Lost_ack { client = 7; req_id = 7 };
+      Consistency.Lost_ack { client = 1; req_id = Char.code 'z' };
+    ]
+    r.Consistency.violations;
+  Alcotest.(check int) "distinct instances" 4 r.Consistency.checked_instances;
+  Alcotest.(check int) "replicas" 3 r.Consistency.checked_replicas
+
 let suite =
   ( "consistency",
     [
@@ -80,4 +112,5 @@ let suite =
         test_different_prefixes_not_compared;
       Alcotest.test_case "lost ack detected" `Quick test_lost_ack;
       Alcotest.test_case "report printing" `Quick test_pp;
+      Alcotest.test_case "all four kinds, order pinned" `Quick test_all_kinds_ordered;
     ] )

@@ -36,7 +36,11 @@ let view replica decisions =
 let two_groups g0 g1 = [ [ view 0 g0; view 1 g0 ]; [ view 2 g1; view 3 g1 ] ]
 
 let audit ~issued ~acked ?(txns = []) views =
-  Audit.check ~issued:(fun key -> List.assoc_opt key issued) ~acked ~views ~txns
+  Audit.check
+    ~issued:(fun ~client ~req_id -> List.assoc_opt (client, req_id) issued)
+    ~acked:(fun f -> List.iter (fun (client, req_id) -> f client req_id) acked)
+    ~logs:(List.map (List.map Consistency.log_of_view) views)
+    ~txns
 
 let lost_acks (r : Consistency.report) =
   List.filter

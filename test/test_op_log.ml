@@ -86,6 +86,82 @@ let prop_gap_correct =
       Op_log.first_gap l = mex 0
       && Op_log.to_list l = List.map (fun i -> (i, i)) decided)
 
+(* Property: the log behaves exactly like a plain hash table of first
+   decisions — out-of-order, duplicate and conflicting decisions and
+   large gaps included. The model is the obvious Hashtbl log. *)
+module Model = struct
+  type t = { tbl : (int, int) Hashtbl.t; mutable bad : (int * int * int) list }
+
+  let create () = { tbl = Hashtbl.create 16; bad = [] }
+
+  let decide m ~inst v =
+    match Hashtbl.find_opt m.tbl inst with
+    | Some prev when prev = v -> `Duplicate
+    | Some prev ->
+      m.bad <- (inst, prev, v) :: m.bad;
+      `Conflict prev
+    | None ->
+      Hashtbl.add m.tbl inst v;
+      `New
+
+  let to_list m =
+    List.sort compare (Hashtbl.fold (fun i v acc -> (i, v) :: acc) m.tbl [])
+
+  let rec gap_from m i = if Hashtbl.mem m.tbl i then gap_from m (i + 1) else i
+  let highest m = Hashtbl.fold (fun i _ acc -> Some (max i (Option.value acc ~default:i))) m.tbl None
+end
+
+(* Instances cluster near 0 (so duplicates and conflicts are common)
+   with an occasional jump far out; values come from a tiny alphabet. *)
+let op_gen =
+  QCheck.Gen.(
+    pair
+      (frequency [ (8, int_bound 40); (1, int_range 1_000 100_000) ])
+      (int_bound 2))
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"op_log agrees with a hashtable model" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair (list (pair int int)) (list int))
+        Gen.(pair (list_size (int_bound 120) op_gen) (list_size (int_bound 5) (int_bound 60))))
+    (fun (ops, froms) ->
+      let l = Op_log.create () and m = Model.create () in
+      let same_outcome =
+        List.for_all (fun (inst, v) -> Op_log.decide l ~inst v = Model.decide m ~inst v) ops
+      in
+      let prefix_of f from_ =
+        let seen = ref [] in
+        let next = f ~from_ (fun i v -> seen := (i, v) :: !seen) in
+        (next, List.rev !seen)
+      in
+      let model_prefix ~from_ f =
+        let i = ref from_ in
+        while Hashtbl.mem m.Model.tbl !i do
+          f !i (Hashtbl.find m.Model.tbl !i);
+          incr i
+        done;
+        !i
+      in
+      same_outcome
+      && Op_log.to_list l = Model.to_list m
+      && Op_log.first_gap l = Model.gap_from m 0
+      && Op_log.highest_decided l = Model.highest m
+      && Op_log.decided_count l = Hashtbl.length m.Model.tbl
+      && Op_log.conflicts l = List.rev m.Model.bad
+      && List.for_all
+           (fun from_ ->
+             prefix_of (fun ~from_ f -> Op_log.iter_prefix l ~from_ f) from_
+             = prefix_of model_prefix from_
+             && Op_log.to_list_from l ~from_
+                = List.filter (fun (i, _) -> i >= from_) (Model.to_list m))
+           froms
+      && List.for_all
+           (fun (inst, _) ->
+             Op_log.get l ~inst = Hashtbl.find_opt m.Model.tbl inst
+             && Op_log.is_decided l ~inst = Hashtbl.mem m.Model.tbl inst)
+           ops)
+
 let suite =
   ( "op_log",
     [
@@ -98,4 +174,5 @@ let suite =
       Alcotest.test_case "iter_prefix" `Quick test_iter_prefix;
       Alcotest.test_case "negative instance rejected" `Quick test_negative_instance;
       QCheck_alcotest.to_alcotest prop_gap_correct;
+      QCheck_alcotest.to_alcotest ~speed_level:`Quick prop_matches_model;
     ] )

@@ -174,6 +174,79 @@ let test_live_lease_reads () =
         (r.Live.lease_reads > 0))
     [ ("1paxos", Live.Onepaxos); ("multipaxos", Live.Multipaxos) ]
 
+(* Doorbell parking under pressure: two domains ping-pong 20k
+   messages. Node 0 parks after every empty drain; node 1 polls for a
+   while first, and both hold each reply, and each park, back by a
+   varying few spins, so replies land all over the other side's
+   drain/park/re-check/block sequence. A lost wake-up leaves a side parked until its 10 s
+   deadline, which the elapsed-time bound catches. *)
+let test_doorbell_ping_pong () =
+  let module T = Ci_runtime.Transport in
+  let module Clock = Ci_runtime.Clock in
+  let rounds = 20_000 in
+  let mesh = T.rings_mesh ~n:2 ~slots:4 ~slot_size:128 in
+  let bells = T.doorbells 2 in
+  Fun.protect ~finally:(fun () -> T.close_doorbells bells) @@ fun () ->
+  let ping i = Ci_consensus.Wire.Reply { req_id = i; result = Ci_rsm.Command.Done } in
+  (* Node 0 sends [i] and waits for its echo before sending [i + 1];
+     node 1 echoes. Both return how many messages they received. *)
+  let play id =
+    let tr = T.rings_endpoint mesh ~id ~outbox_cap:4 ~doorbells:bells in
+    let received = ref 0 in
+    let handle ~src msg =
+      match msg with
+      | Ci_consensus.Wire.Reply { req_id; _ } ->
+        if req_id <> !received then
+          Alcotest.failf "node %d: got %d, expected %d" id req_id !received;
+        incr received;
+        for _ = 1 to (req_id * 7) mod 61 do
+          Domain.cpu_relax ()
+        done;
+        if id = 1 then T.send tr ~dst:src msg
+        else if !received < rounds then T.send tr ~dst:src (ping !received)
+      | _ -> Alcotest.fail "unexpected message"
+    in
+    if id = 0 then T.send tr ~dst:1 (ping 0);
+    let idle = ref 0 in
+    while !received < rounds do
+      if T.drain tr handle > 0 then idle := 0
+      else begin
+        incr idle;
+        if id = 0 || !idle > 500 then begin
+          (* A reply that lands between this empty drain and the park
+             must be caught by [wait]'s re-check, not slept through. *)
+          for _ = 1 to (!received * 13) mod 29 do
+            Domain.cpu_relax ()
+          done;
+          T.wait tr ~deadline:(Clock.now_ns () + 10_000_000_000)
+        end
+        else Domain.cpu_relax ()
+      end
+    done;
+    !received
+  in
+  let t0 = Unix.gettimeofday () in
+  let echo = Domain.spawn (fun () -> play 1) in
+  let got = play 0 in
+  let echoed = Domain.join echo in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (pair int int)) "every ping echoed" (rounds, rounds) (got, echoed);
+  Alcotest.(check bool)
+    (Printf.sprintf "no lost wake-up (%.2f s for %d round trips)" elapsed rounds)
+    true (elapsed < 8.)
+
+(* The doorbells are the only descriptors a rings run opens; they must
+   all be closed again when [Live.run] returns. *)
+let test_live_closes_fds () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if not (Sys.file_exists "/proc/self/fd") then
+    print_endline "no /proc/self/fd on this host; skipping"
+  else begin
+    let before = open_fds () in
+    check_live "fd run" (Live.run (short_spec Live.Onepaxos));
+    Alcotest.(check int) "open descriptors unchanged" before (open_fds ())
+  end
+
 let test_validation () =
   let expect_invalid name spec =
     match Live.run spec with
@@ -294,6 +367,9 @@ let suite =
         `Quick test_live_open_loop;
       Alcotest.test_case "live leases serve local reads" `Quick
         test_live_lease_reads;
+      Alcotest.test_case "doorbells: 20k ping-pongs, no lost wake-up" `Quick
+        test_doorbell_ping_pong;
+      Alcotest.test_case "live run closes its descriptors" `Quick test_live_closes_fds;
       Alcotest.test_case "spec validation" `Quick test_validation;
       Alcotest.test_case "protocol and transport name parsing" `Quick
         test_protocol_names;

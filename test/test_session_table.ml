@@ -34,10 +34,32 @@ let test_double_record_asserts () =
     Alcotest.fail "double record accepted"
   with Assert_failure _ -> ()
 
+(* Ids outside the dense per-client shape — a skip value's client -1,
+   a huge client id, a request id far past the client's range — must
+   round-trip like any other. *)
+let test_odd_ids () =
+  let t = Session_table.create () in
+  let pairs =
+    [ (-1, 0); (-1, 5); (70_000, 1); (3, 0); (3, 1 lsl 40); (3, 1); (-7, 2) ]
+  in
+  List.iteri
+    (fun i (client, req_id) ->
+      Session_table.record t ~client ~req_id (Command.Found (Some i)))
+    pairs;
+  List.iteri
+    (fun i (client, req_id) ->
+      match Session_table.find t ~client ~req_id with
+      | Some (Command.Found (Some j)) when i = j -> ()
+      | _ -> Alcotest.failf "lost (%d, %d)" client req_id)
+    pairs;
+  Alcotest.(check int) "size" (List.length pairs) (Session_table.size t);
+  Alcotest.(check bool) "absent pair" false (Session_table.executed t ~client:3 ~req_id:2)
+
 let suite =
   ( "session_table",
     [
       Alcotest.test_case "missing lookups" `Quick test_find_missing;
+      Alcotest.test_case "ids outside the dense shape" `Quick test_odd_ids;
       Alcotest.test_case "record and find" `Quick test_record_and_find;
       Alcotest.test_case "clients isolated" `Quick test_clients_isolated;
       Alcotest.test_case "double record rejected" `Quick test_double_record_asserts;
