@@ -20,14 +20,15 @@ let create () =
   let none = { vals = [||]; present = Bytes.empty } in
   { dir = [||]; none; count = 0; top = -1 }
 
+(* Whether slot [j] of an allocated chunk is bound. *)
+let bound c j = Char.code (Bytes.unsafe_get c.present (j lsr 3)) land (1 lsl (j land 7)) <> 0
+
 let mem t k =
   k >= 0
   && k lsr bits < Array.length t.dir
   &&
   let c = t.dir.(k lsr bits) in
-  c != t.none
-  && Char.code (Bytes.unsafe_get c.present ((k land (chunk - 1)) lsr 3)) land (1 lsl (k land 7))
-     <> 0
+  c != t.none && bound c (k land (chunk - 1))
 
 let chunk_for t k v =
   let i = k lsr bits in
@@ -49,8 +50,8 @@ let replace t k v =
   if k < 0 then invalid_arg "Dense_map.replace: negative key";
   let c = chunk_for t k v in
   let j = k land (chunk - 1) in
-  let byte = Char.code (Bytes.unsafe_get c.present (j lsr 3)) in
-  if byte land (1 lsl (j land 7)) = 0 then begin
+  if not (bound c j) then begin
+    let byte = Char.code (Bytes.unsafe_get c.present (j lsr 3)) in
     Bytes.unsafe_set c.present (j lsr 3) (Char.unsafe_chr (byte lor (1 lsl (j land 7))));
     t.count <- t.count + 1;
     if k > t.top then t.top <- k
@@ -70,15 +71,24 @@ let reset t =
   t.top <- -1
 
 let iter f t =
-  for k = 0 to t.top do
-    if mem t k then f k (get t k)
-  done
+  Array.iteri
+    (fun i c ->
+      if c != t.none then
+        for j = 0 to chunk - 1 do
+          if bound c j then f ((i lsl bits) + j) c.vals.(j)
+        done)
+    t.dir
 
 (* Descending, so that consing builds an ascending list. *)
 let fold_from ~from_ f t acc =
   let acc = ref acc in
-  for k = t.top downto max 0 from_ do
-    if mem t k then acc := f k (get t k) !acc
+  for i = Array.length t.dir - 1 downto max 0 (from_ asr bits) do
+    let c = t.dir.(i) in
+    if c != t.none then
+      for j = chunk - 1 downto 0 do
+        let k = (i lsl bits) + j in
+        if k >= from_ && bound c j then acc := f k c.vals.(j) !acc
+      done
   done;
   !acc
 

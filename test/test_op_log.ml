@@ -88,7 +88,9 @@ let prop_gap_correct =
 
 (* Property: the log behaves exactly like a plain hash table of first
    decisions — out-of-order, duplicate and conflicting decisions and
-   large gaps included. The model is the obvious Hashtbl log. *)
+   large gaps included. The model is the obvious Hashtbl log; [iter],
+   [to_list], [to_list_from] and [iter_prefix] must all read the model's
+   sorted bindings. *)
 module Model = struct
   type t = { tbl : (int, int) Hashtbl.t; mutable bad : (int * int * int) list }
 
@@ -143,8 +145,14 @@ let prop_matches_model =
         done;
         !i
       in
+      let iterated =
+        let seen = ref [] in
+        Op_log.iter l (fun i v -> seen := (i, v) :: !seen);
+        List.rev !seen
+      in
       same_outcome
       && Op_log.to_list l = Model.to_list m
+      && iterated = Model.to_list m
       && Op_log.first_gap l = Model.gap_from m 0
       && Op_log.highest_decided l = Model.highest m
       && Op_log.decided_count l = Hashtbl.length m.Model.tbl
