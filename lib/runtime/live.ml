@@ -293,11 +293,20 @@ let env_for st ~t0 ~seed =
    blocks in [Transport.wait] until a peer pushes into one of its rings
    (the sender rings its doorbell), its next timer or nemesis transition
    is due, or the run stops; each hop of a commit costs one wake-up, not
-   a sleep's timer slack. [idle_sleep_s] is left only for the two cases
-   nothing would wake: a node whose outbox holds parked sends (no one
-   signals freed ring slots) and a Down/Paused node. *)
-let spin_budget = 200
-let idle_sleep_s = 50e-6
+   a sleep's timer slack. A park lasts at most [idle_sleep_ns] all the
+   same. That bounds how long parked sends wait for a retry (no one
+   signals freed ring slots), and it keeps every vCPU's halts short, as
+   the old sleep-polling did: on a virtual machine a vCPU that stays
+   halted longer is descheduled by the host, and waking it then costs
+   a host scheduling delay that varies from run to run by more than
+   the wake-up itself. The spin is short because on a host with fewer
+   cores than domains a spinning node holds the core its message's
+   receiver needs: 200 iterations (about 30 us of loop) made every
+   same-core hop wait for the spin to run out. A Down/Paused node
+   sleeps until it is due to look at its next transition. *)
+let spin_budget = 20
+let idle_sleep_ns = 50_000
+let idle_sleep_s = float_of_int idle_sleep_ns /. 1e9
 
 let rec nem_transitions ctl now =
   match ctl.transitions with
@@ -326,7 +335,8 @@ let rec run_selfq st acc =
   end
 
 (* The absolute instant a parked node must wake by on its own: its
-   earliest timer or nemesis transition ([max_int]: none). *)
+   earliest timer or nemesis transition, and no later than
+   [idle_sleep_ns] from now. *)
 let wake_deadline st ~t0 =
   let d = Timer_wheel.next_deadline st.timers in
   let d =
@@ -334,7 +344,8 @@ let wake_deadline st ~t0 =
     | Some { transitions = (t, _) :: _; _ } -> min d t
     | Some { transitions = []; _ } | None -> d
   in
-  if d = Ci_engine.Event_queue.no_event then max_int else t0 + d
+  let cap = Clock.now_ns () + idle_sleep_ns in
+  if d = Ci_engine.Event_queue.no_event then cap else min cap (t0 + d)
 
 (* The hot loop. Deliberately allocation-free on its steady state —
    every helper it calls is a top-level tail-recursive function, the
@@ -373,7 +384,6 @@ let event_loop st ~t0 ~stop ~m_work =
       else begin
         incr idle;
         if !idle <= spin_budget then Domain.cpu_relax ()
-        else if Transport.backlogged st.tr then Unix.sleepf idle_sleep_s
         else Transport.wait st.tr ~deadline:(wake_deadline st ~t0)
       end
   done
@@ -988,6 +998,10 @@ let run_socket spec =
     failover = None;
   }
 
+(* Each run starts from a collected heap. Otherwise the garbage of the
+   previous run in the same process is collected during this one: its
+   domains share that work, and the heap grows from run to run. *)
 let run spec =
   validate spec;
+  Gc.full_major ();
   match spec.transport with Spsc -> run_inproc spec | Socket -> run_socket spec

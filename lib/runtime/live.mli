@@ -182,10 +182,13 @@ type result = {
 
 val run : spec -> result
 (** [run spec] executes one live run and joins every domain (or reaps
-    every forked process) before returning. An idle event loop spins
-    briefly, then blocks until a peer sends to it or its next timer is
-    due (see {!Transport.wait}), so oversubscribed hosts still make
-    progress and every descriptor it opened is closed again. On the socket transport
+    every forked process) before returning. It starts with a full major
+    collection, so garbage left by an earlier run in the same process
+    is not collected during this one. An idle event loop spins
+    briefly, then blocks until a peer sends to it, its next timer is
+    due or 50 us have passed (see {!Transport.wait}), so oversubscribed
+    hosts still make progress and every descriptor it opened is closed
+    again. On the socket transport
     the usual [Unix.Unix_error] exceptions escape if the host cannot
     provide sockets or processes.
     @raise Invalid_argument on a malformed spec (see field docs). *)

@@ -20,9 +20,12 @@ type 'a t = {
 
 (* OCaml 5.1 has no [Atomic.make_contended]; pad by allocating filler
    between the two atomic boxes. Minor-heap allocation is sequential,
-   so the boxes land at least a cache line apart (best effort — the
-   major GC may compact, but in practice allocation order survives
-   promotion). 15 words ≥ 64 bytes on 64-bit. *)
+   so the boxes start at least a cache line apart (15 words ≥ 64 bytes
+   on 64-bit). This does not survive promotion: the major heap packs
+   blocks of one size together, so after the first minor collection
+   the atomics of all rings sit 16 bytes apart. Blocks large enough
+   to keep them apart measured no faster on the one-message-in-flight
+   live workloads. *)
 let pad () = ignore (Sys.opaque_identity (Array.make 15 0))
 
 let create ~slots =

@@ -371,16 +371,6 @@ let drain t f =
 
 (* ---------- idling ---------- *)
 
-let backlogged t =
-  Array.exists (fun ob -> not (Queue.is_empty ob)) t.outbox
-  ||
-  match t.kind with
-  | Rings _ -> false
-  | Socket { peers; _ } ->
-    Array.exists
-      (function Some p -> p.wpos < p.wend && not p.closed | None -> false)
-      peers
-
 let timeout_s ~deadline =
   if deadline = max_int then -1.
   else Float.max 0. (float_of_int (deadline - Clock.now_ns ()) /. 1e9)

@@ -95,17 +95,13 @@ val flush : t -> int
 val drain : t -> (src:int -> Ci_consensus.Wire.t -> unit) -> int
 (** Returns the number of messages delivered to the handler. *)
 
-val backlogged : t -> bool
-(** Whether sends are parked in an outbox (or, on sockets, a frame is
-    half written). Nothing wakes a node when a peer frees ring slots
-    or the kernel frees buffer space, so a backlogged node must poll
-    {!flush} instead of calling {!wait}. *)
-
 val wait : t -> deadline:int -> unit
 (** [wait t ~deadline] blocks until a peer may have sent to [t], or
     until {!Clock.now_ns} reaches [deadline] ([max_int]: no deadline).
     It may return early and spuriously; the caller re-polls. Call it
-    only after a {!drain} found nothing and when not {!backlogged}. *)
+    only after a {!drain} found nothing. Nothing wakes a node when a
+    peer frees ring slots or the kernel frees buffer space, so a node
+    with parked sends must pass a near deadline and retry {!flush}. *)
 
 val clear_outboxes : t -> unit
 (** Drop every parked message — a crashing node's NIC loses its queue. *)
