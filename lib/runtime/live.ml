@@ -295,15 +295,15 @@ let env_for st ~t0 ~seed =
    is due, or the run stops; each hop of a commit costs one wake-up, not
    a sleep's timer slack. A park lasts at most [idle_sleep_ns] all the
    same. That bounds how long parked sends wait for a retry (no one
-   signals freed ring slots), and it keeps every vCPU's halts short, as
-   the old sleep-polling did: on a virtual machine a vCPU that stays
-   halted longer is descheduled by the host, and waking it then costs
-   a host scheduling delay that varies from run to run by more than
-   the wake-up itself. The spin is short because on a host with fewer
-   cores than domains a spinning node holds the core its message's
-   receiver needs: 200 iterations (about 30 us of loop) made every
-   same-core hop wait for the spin to run out. A Down/Paused node
-   sleeps until it is due to look at its next transition. *)
+   signals freed ring slots) and how long a node takes to see [stop],
+   and it keeps every vCPU's halts short: on a virtual machine a vCPU
+   that stays halted longer is descheduled by the host, and waking it
+   then costs a host scheduling delay that varies from run to run by
+   more than the wake-up itself. The spin is short because on a host
+   with fewer cores than domains a spinning node holds the core its
+   message's receiver needs, and a hop between two domains on one core
+   waits for the spin to run out. A Down/Paused node sleeps until it
+   is due to look at its next transition. *)
 let spin_budget = 20
 let idle_sleep_ns = 50_000
 let idle_sleep_s = float_of_int idle_sleep_ns /. 1e9
@@ -608,7 +608,6 @@ let run_inproc spec =
   Atomic.set quiesce true;
   Unix.sleepf spec.drain_s;
   Atomic.set stop true;
-  Array.iter Transport.wake bells;
   join_all domains;
   (* Everything below reads domain-owned state after the joins. *)
   let wall_s = float_of_int t_quiesce /. 1e9 in

@@ -55,12 +55,6 @@ val doorbells : int -> doorbell array
 val close_doorbells : doorbell array -> unit
 (** Closes every descriptor; call once the endpoints' domains joined. *)
 
-val wake : doorbell -> unit
-(** Wakes the doorbell's owner unconditionally: a parked owner returns
-    from {!wait}, an awake one returns from its next {!wait} at once.
-    For out-of-band events, such as a stop flag, that no push
-    announces. *)
-
 val rings_endpoint :
   Spsc_bytes.t option array array ->
   id:int ->
