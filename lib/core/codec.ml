@@ -515,19 +515,12 @@ let get_byte c =
   c.pos <- c.pos + 1;
   x
 
+(* The native compiler keeps the [int64] unboxed: no allocation. *)
 let get_int c =
   need c 8;
   let p = c.pos in
-  let byte i = Char.code (Bytes.get c.buf (p + i)) in
   c.pos <- p + 8;
-  byte 0
-  lor (byte 1 lsl 8)
-  lor (byte 2 lsl 16)
-  lor (byte 3 lsl 24)
-  lor (byte 4 lsl 32)
-  lor (byte 5 lsl 40)
-  lor (byte 6 lsl 48)
-  lor (byte 7 lsl 56)
+  Int64.to_int (Bytes.get_int64_le c.buf p)
 
 let get_bool c =
   match get_byte c with
@@ -541,11 +534,8 @@ let get_bool c =
 let get_count c ~min_elem =
   need c 4;
   let p = c.pos in
-  let byte i = Char.code (Bytes.get c.buf (p + i)) in
   c.pos <- p + 4;
-  let n =
-    byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-  in
+  let n = Int32.to_int (Bytes.get_int32_le c.buf p) land 0xffff_ffff in
   if n * min_elem > c.limit - c.pos then err "decode: bad element count";
   n
 

@@ -180,7 +180,8 @@ let on_grant t ~src ~pn ~sent =
 
 (* Renewals ride the failure-detector tick ([scan]) rather than their own
    timer: piggybacking on traffic that already exists keeps lease = 0
-   byte-identical and adds no timer churn. *)
+   byte-identical and adds no timer churn. With a lease the tick comes
+   at least every [lease / 3] (see [fd_loop]). *)
 let maybe_renew t =
   if lease_on t && t.iam_leader then begin
     let at = now t in
@@ -740,8 +741,16 @@ let scan t =
       adopt_acceptor t
   | Some _ | None -> ()
 
+(* With a lease the detector also keeps it renewed, so it ticks at the
+   renewal cadence when that is the shorter one: a backend whose
+   check period outlasts the lease (the live runtime's is 50 ms) would
+   otherwise hold a 20 ms lease less than half the time. *)
+let fd_period t =
+  if lease_on t then min t.cfg.check_period (max 1 (t.cfg.lease / 3))
+  else t.cfg.check_period
+
 let rec fd_loop t =
-  t.env.Node_env.after ~delay:t.cfg.check_period (fun () ->
+  t.env.Node_env.after ~delay:(fd_period t) (fun () ->
       scan t;
       fd_loop t)
 

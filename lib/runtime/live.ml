@@ -291,15 +291,16 @@ let env_for st ~t0 ~seed =
 
 (* How long to spin on an idle loop before parking. A parked node
    blocks in [Transport.wait] until a peer pushes into one of its rings
-   (the sender rings its doorbell), its next timer or nemesis transition
-   is due, or the run stops; each hop of a commit costs one wake-up, not
-   a sleep's timer slack. A park lasts at most [idle_sleep_ns] all the
-   same. That bounds how long parked sends wait for a retry (no one
-   signals freed ring slots) and how long a node takes to see [stop],
-   and it keeps every vCPU's halts short: on a virtual machine a vCPU
-   that stays halted longer is descheduled by the host, and waking it
-   then costs a host scheduling delay that varies from run to run by
-   more than the wake-up itself. The spin is short because on a host
+   (the sender rings its doorbell futex), or its next timer or nemesis
+   transition is due; each hop of a commit costs one wake-up, not a
+   sleep's timer slack, and the park itself allocates nothing. A park
+   lasts at most [idle_sleep_ns] all the same. That bounds how long
+   parked sends wait for a retry (no one signals freed ring slots) and
+   how long a node takes to see [stop], and it keeps every vCPU's
+   halts short: on a virtual machine a vCPU that stays halted longer
+   is descheduled by the host, and waking it then costs a host
+   scheduling delay that varies from run to run by more than the
+   wake-up itself. The spin is short because on a host
    with fewer cores than domains a spinning node holds the core its
    message's receiver needs, and a hop between two domains on one core
    waits for the spin to run out. A Down/Paused node sleeps until it
@@ -421,6 +422,16 @@ let record_ring_metrics metrics per_node =
     (fun k c -> Metrics.set_int metrics ("live.ring.full." ^ k) c)
     full_kinds
 
+(* Bytes the calling domain has allocated so far. [Gc.allocated_bytes]
+   is domain-local but counts most of what sits in the minor heap only
+   once that heap is emptied, so it falls short by up to a minor heap's
+   worth (tens of words per op on a one-second run). [Gc.minor_words]
+   is exact at any time, and the major and promoted counts change only
+   at collections. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (* Allocation accounting covers the protocol-side nodes (replicas and
    routers, [0 .. client_base-1]): the event-loop hot path the Gc guard
    pins. *)
@@ -450,7 +461,7 @@ let timeline ~t_quiesce completions =
 (* ---------- in-process runner: domains over byte rings ---------- *)
 
 (* Joins every domain before re-raising the first failure, so no
-   domain outlives the doorbells it may be parked on. *)
+   domain outlives the run that spawned it. *)
 let join_all domains =
   let failures =
     Array.map
@@ -475,7 +486,6 @@ let run_inproc spec =
     Transport.rings_mesh ~n ~slots:spec.queue_slots ~slot_size:spec.slot_size
   in
   let bells = Transport.doorbells n in
-  Fun.protect ~finally:(fun () -> Transport.close_doorbells bells) @@ fun () ->
   (* Sender-side link rules, per source node. [None] for every node
      when the schedule carries none — the fault-free send path stays
      untouched. *)
@@ -594,14 +604,13 @@ let run_inproc spec =
   let domains =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
-            let a0 = Gc.allocated_bytes () in
+            let a0 = allocated_bytes () in
             (if i < total_replicas then Protocol.start nodes.Deployment.replicas.(i)
              else if i >= client_base then Deployment.start_client nodes (i - client_base));
             event_loop states.(i) ~t0 ~stop ~m_work;
-            (* [Gc.allocated_bytes] is domain-local; the delta is what
-               this node's whole lifetime allocated, written before the
-               join so the main domain can read it afterwards. *)
-            states.(i).alloc_bytes <- Gc.allocated_bytes () -. a0))
+            (* What this node's whole lifetime allocated, written before
+               the join so the main domain can read it afterwards. *)
+            states.(i).alloc_bytes <- allocated_bytes () -. a0))
   in
   Unix.sleepf spec.duration_s;
   let t_quiesce = Clock.now_ns () - t0 in
@@ -799,12 +808,12 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
     client;
   let metrics = Metrics.create () in
   let m_work = Metrics.counter metrics "live.events" in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   (match replica with
   | Some r -> Protocol.start r
   | None -> Option.iter Client.start client);
   event_loop st ~t0 ~stop ~m_work;
-  st.alloc_bytes <- Gc.allocated_bytes () -. a0;
+  st.alloc_bytes <- allocated_bytes () -. a0;
   let harvest =
     {
       h_view =
@@ -997,10 +1006,19 @@ let run_socket spec =
     failover = None;
   }
 
+external set_timer_slack : int -> unit = "ci_set_timer_slack" [@@noalloc]
+
 (* Each run starts from a collected heap. Otherwise the garbage of the
    previous run in the same process is collected during this one: its
-   domains share that work, and the heap grows from run to run. *)
+   domains share that work, and the heap grows from run to run.
+
+   Timed waits get 1 ns of timer slack. Linux lets a timed sleep end up
+   to the thread's slack late (50 µs by default), and a parked node's
+   deadline, like an open-loop driver's next arrival, is exactly such a
+   sleep. Node domains and socket children inherit the slack from the
+   thread that spawns or forks them, so it is set here, before either. *)
 let run spec =
   validate spec;
   Gc.full_major ();
+  set_timer_slack 1;
   match spec.transport with Spsc -> run_inproc spec | Socket -> run_socket spec

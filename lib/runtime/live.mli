@@ -153,7 +153,7 @@ type result = {
           [queue_slots] to shrink it. *)
   alloc_words_per_op : float;
       (** Words allocated per committed op across the replica and router
-          nodes ([Gc.allocated_bytes] is domain-local) — the live
+          nodes, counted exactly per domain (see [Gc.minor_words]) — the live
           event loop's allocation guard, also published as
           [live.alloc.words_per_op]. *)
   lease_reads : int;
@@ -184,11 +184,13 @@ val run : spec -> result
 (** [run spec] executes one live run and joins every domain (or reaps
     every forked process) before returning. It starts with a full major
     collection, so garbage left by an earlier run in the same process
-    is not collected during this one. An idle event loop spins
-    briefly, then blocks until a peer sends to it, its next timer is
-    due or 50 us have passed (see {!Transport.wait}), so oversubscribed
-    hosts still make progress and every descriptor it opened is closed
-    again. On the socket transport
+    is not collected during this one, and it sets the calling thread's
+    timer slack to 1 ns (Linux), which the node domains and socket
+    children inherit: a timed wait then ends on time instead of up to
+    50 us late. An idle event loop spins briefly, then blocks until a
+    peer sends to it, its next timer is due or 50 us have passed (see
+    {!Transport.wait}), so oversubscribed hosts still make progress. A
+    rings run opens no descriptors. On the socket transport
     the usual [Unix.Unix_error] exceptions escape if the host cannot
     provide sockets or processes.
     @raise Invalid_argument on a malformed spec (see field docs). *)

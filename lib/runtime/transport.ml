@@ -15,30 +15,35 @@ type peer = {
   mutable rpos : int;
   mutable rend : int;
   mutable closed : bool;
+  rewatch : bool ref; (* shared by an endpoint's peers, set on a close *)
 }
 
-(* A node's doorbell: [parked] is set while the node is about to block
-   on [rd] (or blocked there); a sender that finds it set claims it
-   with a CAS and writes one byte to [wr]. At most one byte per park,
-   so the pipe never fills. *)
-type doorbell = {
-  parked : bool Atomic.t;
-  rd : Unix.file_descr; (* non-blocking *)
-  wr : Unix.file_descr; (* non-blocking *)
-  rd_set : Unix.file_descr list; (* [[rd]], built once for select *)
-  byte : Bytes.t;
-  scratch : Bytes.t; (* drain buffer, owner only *)
-}
+(* The doorbells: one 32-bit word per node in memory that does not
+   move, [bell_stride] words (64 bytes) apart so that no two nodes'
+   words share a cache line. Every send reads the destination's word,
+   every park writes the owner's. A word is 1 while its node is parked
+   or about to park; a sender that finds it 1 claims it (CAS 1 -> 0)
+   and wakes the futex (park_stubs.c). *)
+type doorbells = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external bell_arm : doorbells -> int -> unit = "ci_bell_arm" [@@noalloc]
+external bell_disarm : doorbells -> int -> unit = "ci_bell_disarm" [@@noalloc]
+external bell_ring : doorbells -> int -> unit = "ci_bell_ring" [@@noalloc]
+external bell_wait : doorbells -> int -> int -> unit = "ci_bell_wait"
+
+let bell_stride = 16
 
 type kind =
   | Rings of {
       inqs : Spsc_bytes.t option array; (* indexed by src *)
       outqs : Spsc_bytes.t option array; (* indexed by dst *)
-      bells : doorbell array; (* indexed by node *)
+      bells : doorbells;
     }
   | Socket of {
       peers : peer option array;
       mutable ctl : (Unix.file_descr * (unit -> unit)) option;
+      rewatch : bool ref; (* [watched] must be rebuilt *)
+      mutable watched : Unix.file_descr list; (* what [wait] selects on *)
     }
 
 type t = {
@@ -76,52 +81,17 @@ let make ~id ~n ~outbox_cap kind =
     full_kinds = Hashtbl.create 8;
   }
 
-let pad () = ignore (Sys.opaque_identity (Array.make 15 0))
-
 let doorbells n =
-  Array.init n (fun _ ->
-      let rd, wr = Unix.pipe ~cloexec:true () in
-      Unix.set_nonblock rd;
-      Unix.set_nonblock wr;
-      pad ();
-      (* Padded apart: every send reads the destination's flag, every
-         park writes the owner's. *)
-      let parked = Atomic.make false in
-      pad ();
-      {
-        parked;
-        rd;
-        wr;
-        rd_set = [ rd ];
-        byte = Bytes.make 1 '!';
-        scratch = Bytes.create 64;
-      })
+  let bells = Bigarray.(Array1.create int32 c_layout (n * bell_stride)) in
+  Bigarray.Array1.fill bells 0l;
+  bells
 
-let close_doorbells bells =
-  Array.iter
-    (fun b ->
-      (try Unix.close b.rd with Unix.Unix_error _ -> ());
-      try Unix.close b.wr with Unix.Unix_error _ -> ())
-    bells
-
-let wake b =
-  try ignore (Unix.single_write b.wr b.byte 0 1)
-  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-
-(* Sender side, after a successful push: one atomic load when the
-   receiver is awake, a CAS and a one-byte write when it is parked. *)
-let notify b =
-  if Atomic.get b.parked && Atomic.compare_and_set b.parked true false then wake b
-
-let rec drain_bell b =
-  match Unix.read b.rd b.scratch 0 (Bytes.length b.scratch) with
-  | 0 -> ()
-  | k -> if k = Bytes.length b.scratch then drain_bell b
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+(* Sender side, after a successful push. *)
+let notify bells dst = bell_ring bells (dst * bell_stride)
 
 let rings_endpoint mesh ~id ~outbox_cap ~doorbells =
   let n = Array.length mesh in
-  if Array.length doorbells <> n then
+  if Bigarray.Array1.dim doorbells <> n * bell_stride then
     invalid_arg "Transport.rings_endpoint: one doorbell per node";
   let inqs = mesh.(id) in
   let outqs = Array.init n (fun dst -> mesh.(dst).(id)) in
@@ -132,6 +102,7 @@ let read_chunk = 65536
 let max_frame = 1 lsl 26 (* 64 MB: no legitimate message comes close *)
 
 let socket_endpoint ~id ~fds ~outbox_cap =
+  let rewatch = ref true in
   let peers =
     Array.map
       (fun fd ->
@@ -149,14 +120,18 @@ let socket_endpoint ~id ~fds ~outbox_cap =
               rpos = 0;
               rend = 0;
               closed = false;
+              rewatch;
             })
       fds
   in
-  make ~id ~n:(Array.length fds) ~outbox_cap (Socket { peers; ctl = None })
+  make ~id ~n:(Array.length fds) ~outbox_cap
+    (Socket { peers; ctl = None; rewatch; watched = [] })
 
 let watch t fd f =
   match t.kind with
-  | Socket s -> s.ctl <- Some (fd, f)
+  | Socket s ->
+    s.ctl <- Some (fd, f);
+    s.rewatch := true
   | Rings _ -> invalid_arg "Transport.watch: socket endpoints only"
 
 (* ---------- socket plumbing ---------- *)
@@ -164,6 +139,10 @@ let watch t fd f =
 let sock_broken = function
   | Unix.EPIPE | Unix.ECONNRESET | Unix.ENOTCONN | Unix.EBADF -> true
   | _ -> false
+
+let close_peer p =
+  p.closed <- true;
+  p.rewatch := true
 
 (* Push [wbuf]'s pending bytes at the kernel; stop on a full buffer. *)
 let rec write_pending p =
@@ -177,7 +156,7 @@ let rec write_pending p =
     | exception Unix.Unix_error (EINTR, _, _) -> write_pending p
     | exception Unix.Unix_error (e, _, _) when sock_broken e ->
       (* Peer is gone: shed the rest like a dead NIC. *)
-      p.closed <- true;
+      close_peer p;
       p.wpos <- 0;
       p.wend <- 0
 
@@ -219,10 +198,10 @@ let sock_read p =
       p.rbuf <- bigger
     end;
     match Unix.read p.fd p.rbuf p.rend (Bytes.length p.rbuf - p.rend) with
-    | 0 -> p.closed <- true
+    | 0 -> close_peer p
     | k -> p.rend <- p.rend + k
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) when sock_broken e -> p.closed <- true
+    | exception Unix.Unix_error (e, _, _) when sock_broken e -> close_peer p
   end
 
 let frame_len p =
@@ -273,7 +252,7 @@ let send t ~dst msg =
     | None -> invalid_arg "Transport.send: no link to destination"
     | Some q ->
       if Queue.is_empty t.outbox.(dst) && Spsc_bytes.try_push q msg then
-        notify bells.(dst)
+        notify bells dst
       else park t ~dst msg)
   | Socket { peers; _ } -> (
     match peers.(dst) with
@@ -299,7 +278,7 @@ let rec flush_rings t outqs bells dst acc =
       | None -> acc
       | Some q ->
         let moved = flush_ring q t.outbox.(dst) 0 in
-        if moved > 0 then notify bells.(dst);
+        if moved > 0 then notify bells dst;
         acc + moved
     in
     flush_rings t outqs bells (dst + 1) acc
@@ -385,32 +364,33 @@ let rec rings_empty inqs src =
   || (match inqs.(src) with None -> true | Some q -> Spsc_bytes.is_empty q)
      && rings_empty inqs (src + 1)
 
-(* Park protocol: announce, re-check, block. OCaml 5 atomics are
-   sequentially consistent: the sender publishes [tail] and then reads
-   [parked]; we publish [parked] and then read every [tail]. At least
-   one side sees the other's write, so a push either shows up in the
-   re-check or rings the bell — no wake-up is lost. *)
+(* Park protocol: announce, re-check, block. Both languages' atomics
+   here are sequentially consistent (OCaml 5 [Atomic], C
+   [__ATOMIC_SEQ_CST]): the sender publishes [tail] and then reads the
+   word; we publish the word and then read every [tail]. At least one
+   side sees the other's write, so a push either shows up in the
+   re-check or claims the word — and then the futex wait returns at
+   once, because the word is no longer 1. No wake-up is lost. *)
 let wait t ~deadline =
   match t.kind with
   | Rings { inqs; bells; _ } ->
-    let b = bells.(t.id) in
-    Atomic.set b.parked true;
-    (if rings_empty inqs 0 then
-       let timeout = timeout_s ~deadline in
-       if timeout <> 0. then ignore (select_read b.rd_set timeout));
-    Atomic.set b.parked false;
-    drain_bell b
-  | Socket { peers; ctl } ->
-    let fds =
-      Array.fold_left
-        (fun acc p ->
-          match p with Some p when not p.closed -> p.fd :: acc | _ -> acc)
-        [] peers
-    in
-    let fds = match ctl with Some (fd, _) -> fd :: fds | None -> fds in
+    let w = t.id * bell_stride in
+    bell_arm bells w;
+    if rings_empty inqs 0 then bell_wait bells w deadline;
+    bell_disarm bells w
+  | Socket s ->
+    if !(s.rewatch) then begin
+      s.rewatch := false;
+      s.watched <-
+        Array.fold_left
+          (fun acc p ->
+            match p with Some p when not p.closed -> p.fd :: acc | _ -> acc)
+          (match s.ctl with Some (fd, _) -> [ fd ] | None -> [])
+          s.peers
+    end;
     let timeout = timeout_s ~deadline in
     if timeout <> 0. then
-      match (ctl, select_read fds timeout) with
+      match (s.ctl, select_read s.watched timeout) with
       | Some (fd, on_ctl), readable when List.mem fd readable -> on_ctl ()
       | _ -> ()
 

@@ -16,11 +16,12 @@
       budgeted per source so one chatty peer cannot starve the rest.
     - [wait ~deadline]: block the idle node until a message may have
       arrived or the deadline passes, whichever comes first. On byte
-      rings each node has a {!doorbell}: the receiver announces that it
-      is about to park, re-checks its rings and blocks on a pipe; a
-      sender that finds the flag set after a push writes one byte. On
-      sockets it [select]s on the peer sockets and the control
-      descriptor.
+      rings each node has a word in the {!doorbells}: the receiver sets
+      it, re-checks its rings and waits on it as a futex with an
+      absolute [CLOCK_MONOTONIC] deadline; a sender that finds it set
+      after a push clears it and wakes the futex. This path opens no
+      descriptor and allocates nothing. On sockets it [select]s on the
+      peer sockets and the control descriptor.
 
     Two implementations:
 
@@ -44,27 +45,25 @@ val rings_mesh :
 (** Full mesh for [n] nodes: [mesh.(dst).(src)] carries [src -> dst];
     the diagonal is [None]. *)
 
-type doorbell
-(** One node's wake-up channel on the rings backend: a parked flag and
-    a non-blocking pipe. *)
+type doorbells
+(** The rings backend's wake-up words, one per node, in memory outside
+    the OCaml heap: a node parks on its own word and rings its peers'.
+    Off Linux a park sleeps until its deadline, at most 1 ms, and a ring
+    wakes nobody. *)
 
-val doorbells : int -> doorbell array
-(** [doorbells n] is one fresh doorbell per node of an [n]-node mesh.
-    Each holds two file descriptors until {!close_doorbells}. *)
-
-val close_doorbells : doorbell array -> unit
-(** Closes every descriptor; call once the endpoints' domains joined. *)
+val doorbells : int -> doorbells
+(** [doorbells n] is one fresh doorbell per node of an [n]-node mesh. *)
 
 val rings_endpoint :
   Spsc_bytes.t option array array ->
   id:int ->
   outbox_cap:int ->
-  doorbells:doorbell array ->
+  doorbells:doorbells ->
   t
 (** Node [id]'s endpoint of a {!rings_mesh}: row [id] are its in-queues
     (it is their only consumer), column [id] its out-queues (only
-    producer). [doorbells.(i)] is node [i]'s doorbell: the endpoint
-    parks on its own and rings its peers'.
+    producer). The endpoint parks on doorbell [id] and rings its
+    peers'.
     @raise Invalid_argument unless there is one doorbell per node. *)
 
 val socket_endpoint :

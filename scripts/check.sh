@@ -102,6 +102,22 @@ dune exec bin/consensus_sim.exe -- load -p 1paxos -d 20 --rate 20000 \
 dune exec bin/consensus_sim.exe -- load --backend live -p multipaxos \
   -d 300 --rate 5000 --poisson
 
+echo "== live 1Paxos lease smoke (leases stay held between 50 ms detector ticks) =="
+# 20 ms leases on real domains, 90% reads. The live failure detector
+# ticks every 50 ms, so the leader must renew at the lease's own
+# cadence to serve nearly every read locally. Fails when lease reads
+# fall below 80% of the reads completed (estimated as 90% of the
+# completions), or on a consistency violation.
+out=$(dune exec bin/consensus_sim.exe -- load --backend live -p 1paxos \
+  -d 300 --rate 5000 --lease-us 20000 --lease-skew-us 200 --reads 0.9)
+echo "$out"
+completed=$(echo "$out" | sed -n 's/.* completed \([0-9]*\) .*/\1/p')
+lease=$(echo "$out" | sed -n 's/.*lease reads \([0-9]*\) .*/\1/p')
+if [ -z "$completed" ] || [ -z "$lease" ] || [ $((100 * lease)) -lt $((72 * completed)) ]; then
+  echo "lease reads ${lease:-?} below 80% of ~90% of ${completed:-?} completions"
+  exit 1
+fi
+
 echo "== model-checker smoke (exhaustive, one crash, <=2s) =="
 # The bounded explorer must fully exhaust the acceptance configs from
 # ISSUE 10 — 3 replicas, crash budget 1, no timer nondeterminism — and

@@ -243,6 +243,46 @@ let test_deterministic_replay () =
   Alcotest.(check (list (pair int int))) "same seed, same trace" (run 7) (run 7);
   ignore (run 8)
 
+(* A backend whose failure-detector tick outlasts the lease (the live
+   runtime's check period is 50 ms) must still keep a 20 ms lease held:
+   the leader renews at the lease's own cadence, not the detector's.
+   Ticking every 50 ms instead holds the lease about 40% of the time.
+   Open-loop: one request every 200 µs for 400 ms, nine in ten a Get. *)
+let test_lease_renewed_between_slow_ticks () =
+  let h =
+    onepaxos_cluster
+      ~tweak:(fun c ->
+        {
+          c with
+          Onepaxos.check_period = Sim_time.ms 50;
+          lease = Sim_time.ms 20;
+          lease_skew = Sim_time.us 200;
+        })
+      ()
+  in
+  let n = 2000 in
+  let reads = ref 0 in
+  for i = 0 to n - 1 do
+    let key = i mod 64 in
+    let cmd =
+      if i mod 10 = 9 then Command.Put { key; data = i }
+      else begin
+        incr reads;
+        Command.Get { key }
+      end
+    in
+    send h ~req_id:i cmd;
+    Machine.run_until h.machine ~time:(Sim_time.us (200 * (i + 1)))
+  done;
+  run_ms h 450;
+  Alcotest.(check int) "every request answered" n (List.length h.replies);
+  check_safety ~cores:(onepaxos_cores h) h;
+  let served = Onepaxos.lease_reads h.replicas.(0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d reads served under the lease (>= 90%%)" served !reads)
+    true
+    (10 * served >= 9 * !reads)
+
 let suite =
   ( "onepaxos",
     [
@@ -270,4 +310,6 @@ let suite =
       Alcotest.test_case "N=5 tolerates non-critical slowdowns" `Quick
         test_five_replicas_tolerate_non_critical_slowdowns;
       Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+      Alcotest.test_case "lease renewed between slow detector ticks" `Quick
+        test_lease_renewed_between_slow_ticks;
     ] )
