@@ -16,6 +16,7 @@
 module E = Ci_workload.Experiments
 module Pool = Ci_workload.Pool
 module Sim_time = Ci_engine.Sim_time
+module Protocol = Ci_consensus.Protocol
 
 (* Wall-clock per section, collected for BENCH_engine.json. The sink is
    swapped when re-timing sections at jobs=1. *)
@@ -53,6 +54,11 @@ let quietly f =
       Format.print_flush ();
       Format.set_formatter_out_functions old)
     f
+
+(* Every BENCH_*.json file is written, and announced, the same way. *)
+let write_json file buf =
+  Out_channel.with_open_text file (fun oc -> Buffer.output_buffer oc buf);
+  Format.printf "@.wrote %s@." file
 
 let netchar ~jobs =
   section "E1. Network characteristics (Section 3)"
@@ -307,7 +313,7 @@ let runtime ~jobs:_ =
         in
         let r = Live.run spec in
         {
-          rt_protocol = Live.protocol_name protocol;
+          rt_protocol = Protocol.name protocol;
           rt_transport = Live.transport_name transport;
           rt_replicas = n_replicas;
           rt_ops = r.Live.ops;
@@ -391,11 +397,7 @@ let write_runtime_json () =
              (if i = List.length s.rt_rows - 1 then "" else ",")))
       s.rt_rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_runtime.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_runtime.json@."
+    write_json "BENCH_runtime.json" buf
 
 (* ----- wire codec benchmark ----------------------------------------------- *)
 
@@ -539,11 +541,7 @@ let write_codec_json () =
              (if i = List.length s.cd_sweep - 1 then "" else ",")))
       s.cd_sweep;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_codec.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_codec.json@."
+    write_json "BENCH_codec.json" buf
 
 (* ----- sharded scaling benchmark ------------------------------------------ *)
 
@@ -595,7 +593,7 @@ let shards ~jobs:_ =
           | None -> (0, 0)
         in
         {
-          sh_protocol = Live.protocol_name protocol;
+          sh_protocol = Protocol.name protocol;
           sh_groups = groups;
           sh_ops = r.Live.ops;
           sh_throughput = r.Live.throughput;
@@ -658,11 +656,7 @@ let write_shards_json () =
              (if i = List.length s.sh_rows - 1 then "" else ",")))
       s.sh_rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_shards.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_shards.json@."
+    write_json "BENCH_shards.json" buf
 
 (* ----- open-loop service benchmark ---------------------------------------- *)
 
@@ -747,7 +741,7 @@ let service ~jobs =
         in
         let r = Live.run spec in
         let label =
-          Live.protocol_name protocol ^ if lease > 0 then " +lease" else ""
+          Protocol.name protocol ^ if lease > 0 then " +lease" else ""
         in
         if not (Ci_rsm.Consistency.ok r.Live.consistency) then
           failwith
@@ -851,11 +845,7 @@ let write_service_json () =
              (if i = List.length s.sv_rows - 1 then "" else ",")))
       s.sv_rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_service.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_service.json@."
+    write_json "BENCH_service.json" buf
 
 (* ----- fault-injection benchmark ------------------------------------------ *)
 
@@ -923,7 +913,7 @@ let faults ~jobs:_ =
           }
         in
         let r = Runner.run spec in
-        row ~backend:"sim" ~protocol:(Runner.protocol_name protocol) ~scenario
+        row ~backend:"sim" ~protocol:(Protocol.name protocol) ~scenario
           ~consistent:(Ci_rsm.Consistency.ok r.Runner.consistency)
           r.Runner.failover
       in
@@ -937,7 +927,7 @@ let faults ~jobs:_ =
           }
         in
         let r = Live.run spec in
-        row ~backend:"live" ~protocol:(Live.protocol_name protocol) ~scenario
+        row ~backend:"live" ~protocol:(Protocol.name protocol) ~scenario
           ~consistent:(Ci_rsm.Consistency.ok r.Live.consistency)
           r.Live.failover
       in
@@ -1001,11 +991,7 @@ let write_faults_json () =
              (if i = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_faults.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_faults.json@."
+    write_json "BENCH_faults.json" buf
 
 (* ----- model-checker benchmark -------------------------------------------- *)
 
@@ -1058,7 +1044,7 @@ let explore ~jobs:_ =
         let t0 = Unix.gettimeofday () in
         let r = Search.explore ~bounds cfg in
         let wall = Unix.gettimeofday () -. t0 in
-        let name = Trace.protocol_name protocol in
+        let name = Protocol.name protocol in
         let outcome, trace_len, shrunk_len =
           match r.Search.outcome with
           | Search.Exhausted -> ("exhausted", -1, -1)
@@ -1130,11 +1116,7 @@ let write_explore_json () =
              (if i = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_explore.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_explore.json@."
+    write_json "BENCH_explore.json" buf
 
 let json_escape name =
   String.concat ""
@@ -1186,11 +1168,7 @@ let write_bench_json () =
       (if j1 = [] then "" else ",");
     if j1 <> [] then wall_map "section_wall_s_jobs1" j1 "";
     Buffer.add_string buf "}\n";
-    let oc = open_out "BENCH_engine.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_engine.json@."
+    write_json "BENCH_engine.json" buf
 
 let metrics ~jobs:_ =
   section "M1. Metrics registry: one instrumented 1Paxos run (Section 4.3)"

@@ -1,21 +1,31 @@
-(* consensus_sim: command-line front-end to the simulator.
+(* consensus_sim: command-line front-end to the simulator and the live
+   runtime.
 
-   [run] executes one experiment with explicit parameters; [figures]
-   regenerates any of the paper's tables/figures (same sections as
-   bench/main.exe). *)
+   [run], [live], [load] and [nemesis] describe one deployment ([deploy])
+   with one definition per shared flag, convert it to a [Runner.spec] or
+   a [Live.spec] in one place per backend, and leave validation to the
+   library: every spec a backend rejects is one line on stderr and exit
+   1 ([guard]). [figures] regenerates the paper's tables and figures
+   (same sections as bench/main.exe); [explore] model-checks a small
+   configuration. *)
 
 open Cmdliner
+open Cmdliner.Term.Syntax
+module Protocol = Ci_consensus.Protocol
 module Runner = Ci_workload.Runner
+module Live = Ci_runtime.Live
 module E = Ci_workload.Experiments
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
+module Consistency = Ci_rsm.Consistency
+module LS = Ci_load.Load_stats
 
-(* ----- shared argument parsing ----------------------------------------- *)
+(* ----- value parsers ------------------------------------------------------ *)
 
 let protocol_conv =
   let parse s =
-    match Ci_consensus.Protocol.of_string s with
+    match Protocol.of_string s with
     | Some p -> Ok p
     | None ->
       Error
@@ -23,7 +33,7 @@ let protocol_conv =
            (Printf.sprintf
               "unknown protocol %S (1paxos|multipaxos|2pc|mencius|cheappaxos)" s))
   in
-  let print fmt p = Format.pp_print_string fmt (Ci_consensus.Protocol.name p) in
+  let print fmt p = Format.pp_print_string fmt (Protocol.name p) in
   Arg.conv (parse, print)
 
 let topology_conv =
@@ -52,6 +62,36 @@ let net_conv =
   in
   Arg.conv (parse, Net_params.pp)
 
+let transport_conv =
+  let parse s =
+    match Live.transport_of_string s with
+    | Some t -> Ok t
+    | None -> Error (`Msg (Printf.sprintf "unknown transport %S (spsc|socket)" s))
+  in
+  let print fmt t = Format.pp_print_string fmt (Live.transport_name t) in
+  Arg.conv (parse, print)
+
+let key_dist_conv =
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ "uniform" ] -> Ok Ci_load.Key_dist.Uniform
+    | [ "zipf"; theta ] ->
+      (try Ok (Ci_load.Key_dist.Zipf (float_of_string theta))
+       with _ -> Error (`Msg "key-dist: expected zipf:THETA"))
+    | [ "hotkey"; hot; spread ] ->
+      (try
+         Ok
+           (Ci_load.Key_dist.Hotkey
+              { hot = float_of_string hot; spread = float_of_string spread })
+       with _ -> Error (`Msg "key-dist: expected hotkey:HOT:SPREAD"))
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf
+              "unknown key distribution %S (uniform|zipf:THETA|hotkey:HOT:SPREAD)" s))
+  in
+  Arg.conv (parse, Ci_load.Key_dist.pp_spec)
+
 (* Nemesis flag parsers: each flag value is one [Ci_faults.fault] in a
    colon-separated format (times in ms from the start of the run). *)
 let nem_conv ~expect parse =
@@ -63,45 +103,31 @@ let nem_conv ~expect parse =
   in
   Arg.conv (parse, Ci_faults.pp_fault)
 
+let ms s = Sim_time.ms (int_of_string s)
+
 let crash_conv =
-  nem_conv ~expect:"NODE:AT_MS[:DOWN_MS]" (function
-    | [ node; at ] ->
-      Some
-        (Ci_faults.Crash
-           {
-             node = int_of_string node;
-             at = Sim_time.ms (int_of_string at);
-             down_for = None;
-           })
-    | [ node; at; down ] ->
-      Some
-        (Ci_faults.Crash
-           {
-             node = int_of_string node;
-             at = Sim_time.ms (int_of_string at);
-             down_for = Some (Sim_time.ms (int_of_string down));
-           })
-    | _ -> None)
+  nem_conv ~expect:"NODE:AT_MS[:DOWN_MS]" (fun fields ->
+      let crash node at down_for =
+        Some (Ci_faults.Crash { node = int_of_string node; at = ms at; down_for })
+      in
+      match fields with
+      | [ node; at ] -> crash node at None
+      | [ node; at; down ] -> crash node at (Some (ms down))
+      | _ -> None)
 
 let pause_conv =
   nem_conv ~expect:"NODE:FROM_MS:UNTIL_MS" (function
     | [ node; from_; until_ ] ->
       Some
         (Ci_faults.Pause
-           {
-             node = int_of_string node;
-             from_ = Sim_time.ms (int_of_string from_);
-             until_ = Sim_time.ms (int_of_string until_);
-           })
+           { node = int_of_string node; from_ = ms from_; until_ = ms until_ })
     | _ -> None)
 
 let link_p_conv kind =
   nem_conv ~expect:"SRC:DST:FROM_MS:UNTIL_MS:P" (function
     | [ src; dst; from_; until_; p ] ->
       let src = int_of_string src and dst = int_of_string dst in
-      let from_ = Sim_time.ms (int_of_string from_)
-      and until_ = Sim_time.ms (int_of_string until_) in
-      let p = float_of_string p in
+      let from_ = ms from_ and until_ = ms until_ and p = float_of_string p in
       Some
         (match kind with
          | `Drop -> Ci_faults.Drop { src; dst; from_; until_; p }
@@ -116,8 +142,8 @@ let delay_conv =
            {
              src = int_of_string src;
              dst = int_of_string dst;
-             from_ = Sim_time.ms (int_of_string from_);
-             until_ = Sim_time.ms (int_of_string until_);
+             from_ = ms from_;
+             until_ = ms until_;
              extra = Sim_time.us (int_of_string extra);
            })
     | _ -> None)
@@ -130,422 +156,507 @@ let partition_conv =
         (Ci_faults.Partition
            {
              groups = List.map group (String.split_on_char '/' groups);
-             from_ = Sim_time.ms (int_of_string from_);
-             until_ = Sim_time.ms (int_of_string until_);
+             from_ = ms from_;
+             until_ = ms until_;
            })
     | _ -> None)
 
-let slow_nem_conv =
+let slow_conv =
   nem_conv ~expect:"CORE:FROM_MS:UNTIL_MS:FACTOR" (function
     | [ core; from_; until_; factor ] ->
       Some
         (Ci_faults.Slow
            {
              core = int_of_string core;
-             from_ = Sim_time.ms (int_of_string from_);
-             until_ = Sim_time.ms (int_of_string until_);
+             from_ = ms from_;
+             until_ = ms until_;
              factor = float_of_string factor;
            })
     | _ -> None)
 
+(* ----- one definition per shared flag ------------------------------------ *)
+
+let backend =
+  Arg.(
+    value
+    & opt (enum [ ("sim", `Sim); ("live", `Live) ]) `Sim
+    & info [ "backend" ]
+        ~doc:
+          "Backend: $(b,sim) (the discrete-event simulator: virtual time, \
+           deterministic) or $(b,live) (OCaml 5 domains over shared-memory \
+           byte rings).")
+
+(* The backend of a command that has no [--backend] flag. *)
+let on_sim = Term.const `Sim
+let on_live = Term.const `Live
+
+let int_opt names default doc = Arg.(value & opt int default & info names ~doc)
+let float_opt names default doc = Arg.(value & opt float default & info names ~doc)
+let flag names doc = Arg.(value & flag & info names ~doc)
+
+let protocol =
+  Arg.(
+    value & opt protocol_conv Protocol.Onepaxos
+    & info [ "p"; "protocol" ]
+        ~doc:
+          "Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos. The live \
+           runtime runs 1paxos and multipaxos.")
+
+let replicas = int_opt [ "r"; "replicas" ] 3 "Replicas per consensus group."
+
+(* An integer flag whose default may differ on the live backend: nemesis
+   runs 5 clients for 50 ms on the simulator and 2 for 1.2 s live. *)
+let int_flag names ~doc ?live default backend =
+  let live = Option.value live ~default in
+  let none =
+    if live = default then string_of_int default
+    else Printf.sprintf "%d sim, %d live" default live
+  in
+  let+ v = Arg.(value & opt (some ~none int) None & info names ~doc)
+  and+ backend = backend in
+  match (v, backend) with
+  | Some v, _ -> v
+  | None, `Sim -> default
+  | None, `Live -> live
+
+let clients =
+  int_flag [ "c"; "clients" ]
+    ~doc:
+      "Client nodes. Under $(b,load) each runs one open-loop driver, so the \
+       total offered load is $(b,--rate) times this."
+
+let duration_ms = int_flag [ "d"; "duration-ms" ] ~doc:"Measurement window (ms)."
+
+let groups =
+  int_opt [ "g"; "groups" ] 1
+    "Consensus groups the keyspace is sharded over (1paxos or multipaxos, \
+     dedicated placement), each with its own replicas and router node. Fault \
+     node indices range over the $(b,groups * replicas) replicas, group-major."
+
+let cross_shard =
+  float_opt [ "cross-shard-ratio" ] 0.
+    "Fraction of commands that are cross-shard multi-puts, run as 2PC over the \
+     owning groups."
+
+let seed =
+  int_opt [ "seed" ] 42
+    "Random seed: per-node streams, arrival gaps, key draws and the fault \
+     schedule's coin flips derive from it."
+
+let default_warmup_ms = 5
+
+let warmup =
+  int_opt [ "warmup-ms" ] default_warmup_ms "Warm-up before measuring (ms; simulator only)."
+
+let read_ratio = float_opt [ "read-ratio" ] 0. "Fraction of read commands."
+let think = int_opt [ "think-us" ] 0 "Client think time between requests (us)."
+
+let slow_cores =
+  Arg.(
+    value & opt_all slow_conv []
+    & info [ "slow-core" ] ~docv:"CORE:FROM_MS:UNTIL_MS:FACTOR"
+        ~doc:
+          "Slow core $(i,CORE) by $(i,FACTOR) for the window (simulator only; \
+           $(i,FACTOR) $(b,inf) stops the core). Repeatable.")
+
+let metrics_out =
+  Arg.(
+    value & opt (some string) None
+    & info [ "metrics-out" ] ~docv:"FILE"
+        ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).")
+
+(* ----- one deployment, two backends --------------------------------------- *)
+
+(* What a deployment command describes, whichever backend runs it. The
+   measurement window stays outside: [live] sets it in seconds, the
+   others in milliseconds. *)
+type deploy = {
+  protocol : Protocol.t;
+  replicas : int;
+  clients : int;
+  groups : int;
+  cross_shard : float;
+  seed : int;
+  warmup_ms : int;  (** Simulator only. *)
+  lease_us : int;
+  lease_skew_us : int;
+  open_loop : Runner.open_loop option;
+  faults : Ci_faults.fault list;
+}
+
+(* The flags every deployment command has; [load] is not sharded. *)
+let deploy ?(sharded = true) ?live_clients ~clients:n backend =
+  let+ protocol = protocol
+  and+ replicas = replicas
+  and+ clients = clients ?live:live_clients n backend
+  and+ groups = if sharded then groups else Term.const 1
+  and+ cross_shard = if sharded then cross_shard else Term.const 0.
+  and+ seed = seed in
+  {
+    protocol;
+    replicas;
+    clients;
+    groups;
+    cross_shard;
+    seed;
+    warmup_ms = default_warmup_ms;
+    lease_us = 0;
+    lease_skew_us = 0;
+    open_loop = None;
+    faults = [];
+  }
+
+let sim_spec d ~duration_ms =
+  {
+    (Runner.default_spec ~protocol:d.protocol
+       ~placement:(Runner.Dedicated { n_replicas = d.replicas; n_clients = d.clients }))
+    with
+    Runner.groups = d.groups;
+    cross_shard_ratio = d.cross_shard;
+    duration = Sim_time.ms duration_ms;
+    warmup = Sim_time.ms d.warmup_ms;
+    seed = d.seed;
+    lease = Sim_time.us d.lease_us;
+    lease_skew = Sim_time.us d.lease_skew_us;
+    open_loop = d.open_loop;
+    nemesis = { Ci_faults.seed = d.seed; faults = d.faults };
+  }
+
+let live_spec d ~duration_s =
+  {
+    (Live.default_spec ~protocol:d.protocol) with
+    Live.n_replicas = d.replicas;
+    n_clients = d.clients;
+    groups = d.groups;
+    cross_shard_ratio = d.cross_shard;
+    duration_s;
+    seed = d.seed;
+    lease = d.lease_us * 1_000;
+    lease_skew = d.lease_skew_us * 1_000;
+    open_loop = d.open_loop;
+    nemesis = { Ci_faults.seed = d.seed; faults = d.faults };
+  }
+
+(* What the verdict reads from either backend's result. *)
+type outcome = {
+  consistency : Consistency.report;
+  atomicity : Ci_rsm.Atomicity.report option;
+  load : LS.t option;
+  lease_reads : int;
+  failover : Ci_obs.Failover.t option;
+}
+
+let of_sim (r : Runner.result) =
+  {
+    consistency = r.consistency;
+    atomicity = r.atomicity;
+    load = r.load;
+    lease_reads = r.lease_reads;
+    failover = r.failover;
+  }
+
+let of_live (r : Live.result) =
+  {
+    consistency = r.consistency;
+    atomicity = r.atomicity;
+    load = r.load;
+    lease_reads = r.lease_reads;
+    failover = r.failover;
+  }
+
+(* The one pass/fail verdict: every group's log is consistent,
+   cross-shard transactions are atomic and no session read was stale. *)
+let passed o =
+  Consistency.ok o.consistency
+  && (match o.atomicity with Some a -> Ci_rsm.Atomicity.ok a | None -> true)
+  && match o.load with Some s -> LS.stale_reads s = 0 | None -> true
+
+let exit_code o = if passed o then 0 else 1
+
+let print_atomicity = function
+  | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
+  | None -> ()
+
+let print_sim (r : Runner.result) =
+  Format.printf "%a@." Runner.pp_result r;
+  print_atomicity r.atomicity
+
+(* Run [d] on [backend], let [sim] or [live] print that backend's own
+   lines, and return what the verdict reads. *)
+let run_on backend d ~duration_ms ~sim ~live =
+  match backend with
+  | `Sim ->
+    let r = Runner.run (sim_spec d ~duration_ms) in
+    sim r;
+    of_sim r
+  | `Live ->
+    let r = Live.run (live_spec d ~duration_s:(float_of_int duration_ms /. 1000.)) in
+    live r;
+    of_live r
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Format.printf "wrote %s@." path
+
+(* Every deployment command runs through here: a spec the library
+   rejects is one line on stderr and exit 1, and a host that cannot
+   provide the socket transport's sockets or processes is exit 3, a
+   skip. *)
+let guard run =
+  match run () with
+  | code -> code
+  | exception Invalid_argument m ->
+    Format.eprintf "%s@." m;
+    1
+  | exception
+      Unix.Unix_error
+        ( (( Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
+           | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
+           | Unix.ENOMEM ) as e),
+          fn,
+          _ ) ->
+    Format.eprintf "live: socket transport unavailable on this host (%s: %s); skipping@."
+      fn (Unix.error_message e);
+    3
+
+let deployment_cmd name ~doc term = Cmd.v (Cmd.info name ~doc) (Term.map guard term)
+
 (* ----- run ---------------------------------------------------------------- *)
 
 let run_cmd =
-  let protocol =
-    Arg.(value & opt protocol_conv Runner.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: 1paxos, multipaxos or 2pc.")
-  in
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count (per group when $(b,--groups) > 1).") in
-  let clients = Arg.(value & opt int 5 & info [ "c"; "clients" ] ~doc:"Client count (dedicated mode).") in
-  let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Independent consensus groups the keyspace is sharded over (1paxos/multipaxos, dedicated mode).") in
-  let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).") in
-  let joint = Arg.(value & flag & info [ "joint" ] ~doc:"Joint deployment: every node is replica and client; $(b,--replicas) sets the node count.") in
-  let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
-  let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let read_ratio = Arg.(value & opt float 0. & info [ "read-ratio" ] ~doc:"Fraction of read commands.") in
-  let think = Arg.(value & opt int 0 & info [ "think-us" ] ~doc:"Client think time (us).") in
-  let timeout = Arg.(value & opt int 2000 & info [ "timeout-us" ] ~doc:"Client retry timeout (us).") in
-  let topology = Arg.(value & opt topology_conv Topology.opteron_48 & info [ "topology" ] ~doc:"Machine: 48, 8 or SOCKETSxCORES.") in
-  let net = Arg.(value & opt net_conv Net_params.multicore & info [ "net" ] ~doc:"Network preset: multicore, lan or lan-wide.") in
-  let relaxed = Arg.(value & flag & info [ "relaxed-reads" ] ~doc:"Serve marked reads from local learner state (stale allowed).") in
-  let local_reads = Arg.(value & flag & info [ "local-reads" ] ~doc:"2PC-Joint: serve unlocked reads locally.") in
-  let colocate = Arg.(value & flag & info [ "colocate-acceptor" ] ~doc:"1Paxos: put the initial acceptor on the leader's node.") in
-  let batch = Arg.(value & opt int 1 & info [ "batch" ] ~doc:"1Paxos/Multi-Paxos: commands per batched consensus instance (1 = the paper's protocol).") in
-  let batch_delay = Arg.(value & opt int 5 & info [ "batch-delay-us" ] ~doc:"How long the leader holds a partial batch (us).") in
-  let pipeline = Arg.(value & opt int 0 & info [ "pipeline" ] ~doc:"Max batches in flight at the leader (0 = unbounded, as in the paper).") in
-  let coalesce = Arg.(value & opt int 1 & info [ "coalesce" ] ~doc:"Receive-coalescing budget: messages drained per reception charge (1 = uncoalesced).") in
-  let faults = Arg.(value & opt_all slow_nem_conv [] & info [ "slow-core" ] ~doc:"Inject a slowdown, CORE:FROM_MS:UNTIL_MS:FACTOR (repeatable; FACTOR $(b,inf) stops the core).") in
-  let timeline = Arg.(value & flag & info [ "timeline" ] ~doc:"Also print per-10ms commit rates.") in
-  let trace_out = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc:"Record typed trace events and write them to $(docv).") in
   let trace_format =
-    let fmt_conv = Arg.enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ] in
-    Arg.(value & opt fmt_conv `Chrome & info [ "trace-format" ] ~docv:"FMT" ~doc:"Trace format: $(b,chrome) (load in ui.perfetto.dev) or $(b,jsonl) (one JSON object per line).")
-  in
-  let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
-  let run protocol replicas clients groups cross_shard joint duration warmup
-      seed read_ratio think timeout topology net relaxed local_reads colocate
-      batch batch_delay pipeline coalesce faults timeline trace_out
-      trace_format metrics_out =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 1 then invalid "--replicas must be >= 1"
-      else if (not joint) && clients < 1 then invalid "--clients must be >= 1"
-      else if groups < 1 then invalid "--groups must be >= 1"
-      else if cross_shard < 0. || cross_shard > 1. then
-        invalid "--cross-shard-ratio must be in [0, 1]"
-      else if duration < 1 then invalid "--duration-ms must be >= 1"
-      else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else if timeout < 1 then invalid "--timeout-us must be >= 1"
-      else if think < 0 then invalid "--think-us must be >= 0"
-      else if read_ratio < 0. || read_ratio > 1. then
-        invalid "--read-ratio must be in [0, 1]"
-      else if batch < 1 then invalid "--batch must be >= 1"
-      else if batch_delay < 0 then invalid "--batch-delay-us must be >= 0"
-      else if pipeline < 0 then invalid "--pipeline must be >= 0 (0 = unbounded)"
-      else if coalesce < 1 then invalid "--coalesce must be >= 1"
-      else None
-    in
-    match bad with
-    | Some code -> code
-    | None ->
-    let placement =
-      if joint then Runner.Joint { n_nodes = replicas }
-      else Runner.Dedicated { n_replicas = replicas; n_clients = clients }
-    in
-    let ring =
-      match trace_out with
-      | Some _ -> Some (Ci_obs.Event.create_ring ())
-      | None -> None
-    in
-    let spec =
-      {
-        (Runner.default_spec ~protocol ~placement) with
-        Runner.groups = groups;
-        cross_shard_ratio = cross_shard;
-        duration = Sim_time.ms duration;
-        warmup = Sim_time.ms warmup;
-        seed;
-        read_ratio;
-        think = Sim_time.us think;
-        timeout = Sim_time.us timeout;
-        topology;
-        params = { net with Net_params.coalesce };
-        relaxed_reads = relaxed;
-        local_reads;
-        colocate_acceptor = colocate;
-        batch;
-        batch_delay = Sim_time.us batch_delay;
-        pipeline;
-        nemesis = { Ci_faults.seed; faults };
-        trace = ring;
-      }
-    in
-    let r = Runner.run spec in
-    Format.printf "%a@." Runner.pp_result r;
-    (match r.Runner.atomicity with
-     | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-     | None -> ());
-    if timeline then begin
-      Format.printf "timeline (op/s per 10ms bucket):@.";
-      Array.iteri (fun i x -> Format.printf "  %4dms %10.0f@." (i * 10) x) r.Runner.timeline
-    end;
-    let write_file path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents);
-      Format.printf "wrote %s@." path
-    in
-    (match (trace_out, ring) with
-     | Some path, Some ring ->
-       let contents =
-         match trace_format with
-         | `Chrome -> Ci_obs.Event.to_chrome ring
-         | `Jsonl -> Ci_obs.Event.to_jsonl ring
-       in
-       write_file path contents;
-       if Ci_obs.Event.dropped ring > 0 then
-         Format.printf "note: ring capacity exceeded, %d oldest events dropped@."
-           (Ci_obs.Event.dropped ring)
-     | _ -> ());
-    (match metrics_out with
-     | Some path -> write_file path (Ci_obs.Metrics.to_json r.Runner.metrics)
-     | None -> ());
-    if
-      Ci_rsm.Consistency.ok r.Runner.consistency
-      && (match r.Runner.atomicity with
-         | Some a -> Ci_rsm.Atomicity.ok a
-         | None -> true)
-    then 0
-    else 1
+    Arg.(
+      value
+      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
+      & info [ "trace-format" ] ~docv:"FMT"
+          ~doc:
+            "Trace format: $(b,chrome) (load in ui.perfetto.dev) or $(b,jsonl) \
+             (one JSON object per line).")
   in
   let term =
-    Term.(
-      const run $ protocol $ replicas $ clients $ groups $ cross_shard $ joint
-      $ duration $ warmup $ seed $ read_ratio $ think $ timeout $ topology
-      $ net $ relaxed $ local_reads $ colocate $ batch $ batch_delay
-      $ pipeline $ coalesce $ faults $ timeline $ trace_out $ trace_format
-      $ metrics_out)
-  in
-  Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its measurements.") term
-
-(* ----- live ---------------------------------------------------------------- *)
-
-let live_cmd =
-  let module Live = Ci_runtime.Live in
-  let live_protocol_conv =
-    let parse s =
-      match Live.protocol_of_string s with
-      | Some p -> Ok p
-      | None ->
-        Error (`Msg (Printf.sprintf "unknown protocol %S (onepaxos|multipaxos)" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Live.protocol_name p) in
-    Arg.conv (parse, print)
-  in
-  let protocol =
-    Arg.(value & opt live_protocol_conv Live.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: onepaxos (1paxos) or multipaxos.")
-  in
-  let live_transport_conv =
-    let parse s =
-      match Live.transport_of_string s with
-      | Some t -> Ok t
-      | None -> Error (`Msg (Printf.sprintf "unknown transport %S (spsc|socket)" s))
-    in
-    let print fmt t = Format.pp_print_string fmt (Live.transport_name t) in
-    Arg.conv (parse, print)
-  in
-  let transport =
-    Arg.(value & opt live_transport_conv Live.Spsc & info [ "transport" ] ~doc:"Transport: $(b,spsc) (domains over shared-memory byte rings, the default) or $(b,socket) (one process per node over stream sockets).")
-  in
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica domains (per group when $(b,--groups) > 1).") in
-  let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Client domains.") in
-  let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Independent consensus groups the keyspace is sharded over; each gets its own replica domains plus a router domain.") in
-  let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).") in
-  let duration = Arg.(value & opt float 1.0 & info [ "d"; "duration-s" ] ~doc:"Measured wall-clock phase (seconds).") in
-  let drain = Arg.(value & opt float 0.2 & info [ "drain-s" ] ~doc:"Quiesce phase before stopping the domains (seconds).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (per-node streams derive from it).") in
-  let slots = Arg.(value & opt int 64 & info [ "ring-cap"; "queue-slots" ] ~doc:"Ring capacity per ordered node pair, in slots. Raising it relieves full-ring back-pressure (see the per-node full-ring sends the run prints).") in
-  let slot_size = Arg.(value & opt int 128 & info [ "slot-size" ] ~doc:"Bytes per ring slot — a power of two, at least 32. Every non-batch message fits one 128-byte slot; batch messages spill over consecutive slots.") in
-  let timeout = Arg.(value & opt int 150 & info [ "timeout-ms" ] ~doc:"Client retry timeout (ms). Keep generous on oversubscribed hosts.") in
-  let read_ratio = Arg.(value & opt float 0. & info [ "read-ratio" ] ~doc:"Fraction of read commands.") in
-  let think = Arg.(value & opt int 0 & info [ "think-us" ] ~doc:"Client think time between requests (us).") in
-  let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
-  let run protocol transport replicas clients groups cross_shard duration drain
-      seed slots slot_size timeout read_ratio think metrics_out =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 2 then invalid "--replicas must be >= 2"
-      else if clients < 1 then invalid "--clients must be >= 1"
-      else if groups < 1 then invalid "--groups must be >= 1"
-      else if cross_shard < 0. || cross_shard > 1. then
-        invalid "--cross-shard-ratio must be in [0, 1]"
-      else if duration <= 0. then invalid "--duration-s must be > 0"
-      else if drain < 0. then invalid "--drain-s must be >= 0"
-      else if slots < 1 then invalid "--ring-cap must be >= 1"
-      else if
-        slot_size < Ci_runtime.Spsc_bytes.min_slot_size
-        || slot_size land (slot_size - 1) <> 0
-      then
-        invalid "--slot-size must be a power of two >= %d"
-          Ci_runtime.Spsc_bytes.min_slot_size
-      else if transport = Live.Socket && groups > 1 then
-        invalid "--transport socket does not shard yet (--groups must be 1)"
-      else if timeout < 1 then invalid "--timeout-ms must be >= 1"
-      else if read_ratio < 0. || read_ratio > 1. then
-        invalid "--read-ratio must be in [0, 1]"
-      else if think < 0 then invalid "--think-us must be >= 0"
-      else None
-    in
-    match bad with
-    | Some code -> code
-    | None ->
+    let+ d = deploy ~clients:5 on_sim
+    and+ duration_ms = duration_ms 50 on_sim
+    and+ warmup_ms = warmup
+    and+ faults = slow_cores
+    and+ joint =
+      flag [ "joint" ]
+        "Joint deployment: every node is replica and client; $(b,--replicas) \
+         sets the node count."
+    and+ read_ratio = read_ratio
+    and+ think = think
+    and+ timeout = int_opt [ "timeout-us" ] 2000 "Client retry timeout (us)."
+    and+ topology =
+      Arg.(
+        value
+        & opt topology_conv Topology.opteron_48
+        & info [ "topology" ] ~doc:"Machine: 48, 8 or SOCKETSxCORES.")
+    and+ net =
+      Arg.(
+        value & opt net_conv Net_params.multicore
+        & info [ "net" ] ~doc:"Network preset: multicore, lan, lan-wide or rdma.")
+    and+ relaxed_reads =
+      flag [ "relaxed-reads" ] "Serve marked reads from local learner state (stale allowed)."
+    and+ local_reads = flag [ "local-reads" ] "2PC-Joint: serve unlocked reads locally."
+    and+ colocate_acceptor =
+      flag [ "colocate-acceptor" ] "1Paxos: put the initial acceptor on the leader's node."
+    and+ batch =
+      int_opt [ "batch" ] 1
+        "1Paxos/Multi-Paxos: commands per batched consensus instance (1 = the \
+         paper's protocol)."
+    and+ batch_delay =
+      int_opt [ "batch-delay-us" ] 5 "How long the leader holds a partial batch (us)."
+    and+ pipeline =
+      int_opt [ "pipeline" ] 0
+        "Max batches in flight at the leader (0 = unbounded, as in the paper)."
+    and+ coalesce =
+      int_opt [ "coalesce" ] 1
+        "Receive-coalescing budget: messages drained per reception charge (1 = \
+         uncoalesced)."
+    and+ timeline = flag [ "timeline" ] "Also print per-10ms commit rates."
+    and+ trace_out =
+      Arg.(
+        value & opt (some string) None
+        & info [ "trace-out" ] ~docv:"FILE"
+            ~doc:"Record typed trace events and write them to $(docv).")
+    and+ trace_format = trace_format
+    and+ metrics_out = metrics_out in
+    fun () ->
+      let ring = Option.map (fun _ -> Ci_obs.Event.create_ring ()) trace_out in
+      let base = sim_spec { d with warmup_ms; faults } ~duration_ms in
       let spec =
         {
-          (Live.default_spec ~protocol) with
-          Live.n_replicas = replicas;
-          n_clients = clients;
-          groups;
-          cross_shard_ratio = cross_shard;
-          duration_s = duration;
-          drain_s = drain;
-          transport;
-          seed;
-          queue_slots = slots;
-          slot_size;
-          client_timeout = timeout * 1_000_000;
-          think = think * 1_000;
+          base with
+          Runner.placement =
+            (if joint then Runner.Joint { n_nodes = d.replicas } else base.placement);
           read_ratio;
+          think = Sim_time.us think;
+          timeout = Sim_time.us timeout;
+          topology;
+          params = { net with Net_params.coalesce };
+          relaxed_reads;
+          local_reads;
+          colocate_acceptor;
+          batch;
+          batch_delay = Sim_time.us batch_delay;
+          pipeline;
+          trace = ring;
         }
       in
-      match Live.run spec with
-      | exception Unix.Unix_error (e, fn, _)
-        when transport = Live.Socket
-             && (match e with
-                | Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
-                | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
-                | Unix.ENOMEM ->
-                  true
-                | _ -> false) ->
-        Format.eprintf
-          "live: socket transport unavailable on this host (%s: %s); skipping@."
-          fn (Unix.error_message e);
-        3
-      | r ->
-      let n_routers = if groups = 1 then 0 else groups in
-      Format.printf
-        "live %s (%s): %d replica + %d router + %d client %s on %d cores@."
-        (Live.protocol_name protocol)
-        (Live.transport_name transport)
-        (groups * replicas) n_routers clients
+      let r = Runner.run spec in
+      print_sim r;
+      if timeline then begin
+        Format.printf "timeline (op/s per 10ms bucket):@.";
+        Array.iteri (fun i x -> Format.printf "  %4dms %10.0f@." (i * 10) x) r.timeline
+      end;
+      (match (trace_out, ring) with
+       | Some path, Some ring ->
+         write_file path
+           (match trace_format with
+            | `Chrome -> Ci_obs.Event.to_chrome ring
+            | `Jsonl -> Ci_obs.Event.to_jsonl ring);
+         if Ci_obs.Event.dropped ring > 0 then
+           Format.printf "note: ring capacity exceeded, %d oldest events dropped@."
+             (Ci_obs.Event.dropped ring)
+       | _ -> ());
+      Option.iter (fun path -> write_file path (Ci_obs.Metrics.to_json r.metrics)) metrics_out;
+      exit_code (of_sim r)
+  in
+  deployment_cmd "run" ~doc:"Run one experiment and print its measurements." term
+
+(* ----- live --------------------------------------------------------------- *)
+
+let live_cmd =
+  let term =
+    let+ d = deploy ~clients:2 on_live
+    and+ transport =
+      Arg.(
+        value & opt transport_conv Live.Spsc
+        & info [ "transport" ]
+            ~doc:
+              "Transport: $(b,spsc) (domains over shared-memory byte rings, the \
+               default) or $(b,socket) (one process per node over stream sockets).")
+    and+ duration_s =
+      float_opt [ "d"; "duration-s" ] 1.0 "Measured wall-clock phase (seconds)."
+    and+ drain_s =
+      float_opt [ "drain-s" ] 0.2 "Quiesce phase before stopping the domains (seconds)."
+    and+ queue_slots =
+      int_opt [ "ring-cap"; "queue-slots" ] 64
+        "Ring capacity per ordered node pair, in slots. Raising it relieves \
+         full-ring back-pressure (see the per-node full-ring sends the run \
+         prints)."
+    and+ slot_size =
+      int_opt [ "slot-size" ] 128
+        "Bytes per ring slot — a power of two, at least 32. Every non-batch \
+         message fits one 128-byte slot; batch messages spill over consecutive \
+         slots."
+    and+ timeout_ms =
+      int_opt [ "timeout-ms" ] 150
+        "Client retry timeout (ms). Keep generous on oversubscribed hosts."
+    and+ read_ratio = read_ratio
+    and+ think = think
+    and+ metrics_out = metrics_out in
+    fun () ->
+      let r =
+        Live.run
+          {
+            (live_spec d ~duration_s) with
+            Live.drain_s;
+            transport;
+            queue_slots;
+            slot_size;
+            client_timeout = timeout_ms * 1_000_000;
+            think = think * 1_000;
+            read_ratio;
+          }
+      in
+      Format.printf "live %s (%s): %d replica + %d router + %d client %s on %d cores@."
+        (Protocol.name d.protocol) (Live.transport_name transport)
+        (d.groups * d.replicas)
+        (if d.groups = 1 then 0 else d.groups)
+        d.clients
         (match transport with Live.Spsc -> "domains" | Live.Socket -> "processes")
-        r.Live.cores;
-      Format.printf "  measured %.3fs  ops %d  throughput %.0f op/s@."
-        r.Live.wall_s r.Live.ops r.Live.throughput;
-      Format.printf "  latency %a@." Ci_stats.Summary.pp r.Live.latency;
-      Format.printf "  retries %d  leader-changes %d  acceptor-changes %d@."
-        r.Live.retries r.Live.leader_changes r.Live.acceptor_changes;
-      let q = r.Live.queues in
+        r.cores;
+      Format.printf "  measured %.3fs  ops %d  throughput %.0f op/s@." r.wall_s r.ops
+        r.throughput;
+      Format.printf "  latency %a@." Ci_stats.Summary.pp r.latency;
+      Format.printf "  retries %d  leader-changes %d  acceptor-changes %d@." r.retries
+        r.leader_changes r.acceptor_changes;
+      let q = r.queues in
       Format.printf "  queues %d  msgs %d  full-ring sends %d  occupancy-peak %d/%d@."
-        q.Live.q_count q.Live.q_msgs q.Live.q_blocked q.Live.q_occupancy_peak
-        slots;
+        q.q_count q.q_msgs q.q_blocked q.q_occupancy_peak queue_slots;
       Format.printf "  full-ring sends per node: %s@."
         (String.concat " "
            (Array.to_list
-              (Array.mapi (fun i b -> Printf.sprintf "n%d:%d" i b)
-                 r.Live.full_ring_sends)));
+              (Array.mapi (fun i b -> Printf.sprintf "n%d:%d" i b) r.full_ring_sends)));
       Format.printf "  alloc %.0f words/op (replica+router domains)@."
-        r.Live.alloc_words_per_op;
-      Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-      (match r.Live.atomicity with
-       | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-       | None -> ());
-      (match metrics_out with
-       | Some path ->
-         let oc = open_out path in
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () -> output_string oc (Ci_obs.Metrics.to_json r.Live.metrics));
-         Format.printf "wrote %s@." path
-       | None -> ());
-      if
-        Ci_rsm.Consistency.ok r.Live.consistency
-        && (match r.Live.atomicity with
-           | Some a -> Ci_rsm.Atomicity.ok a
-           | None -> true)
-      then 0
-      else 1
+        r.alloc_words_per_op;
+      Format.printf "%a@." Consistency.pp r.consistency;
+      print_atomicity r.atomicity;
+      Option.iter (fun path -> write_file path (Ci_obs.Metrics.to_json r.metrics)) metrics_out;
+      exit_code (of_live r)
   in
-  let term =
-    Term.(
-      const run $ protocol $ transport $ replicas $ clients $ groups
-      $ cross_shard $ duration $ drain $ seed $ slots $ slot_size $ timeout
-      $ read_ratio $ think $ metrics_out)
-  in
-  Cmd.v
-    (Cmd.info "live"
-       ~doc:"Run the protocol cores for real: OCaml 5 domains over shared-memory byte rings, or one process per node over sockets ($(b,--transport socket)).")
+  deployment_cmd "live"
+    ~doc:
+      "Run the protocol cores for real: OCaml 5 domains over shared-memory byte \
+       rings, or one process per node over sockets ($(b,--transport socket))."
     term
 
-(* ----- load ----------------------------------------------------------------- *)
+(* ----- load --------------------------------------------------------------- *)
+
+let print_sink ~offered ~lease_us ~lease_reads (sink : LS.t) =
+  let us ns = float_of_int ns /. 1e3 in
+  let lp = LS.latency_percentiles sink in
+  let sp = LS.service_percentiles sink in
+  Format.printf "  offered %.0f op/s  issued %d  completed %d  achieved %.0f op/s@."
+    offered (LS.issued sink) (LS.completed sink) (LS.throughput sink);
+  Format.printf
+    "  latency from intended arrival: p50 %.1fus  p99 %.1fus  p99.9 %.1fus@."
+    (us lp.LS.p50) (us lp.LS.p99) (us lp.LS.p999);
+  Format.printf
+    "  latency from first send:       p50 %.1fus  p99 %.1fus  p99.9 %.1fus@."
+    (us sp.LS.p50) (us sp.LS.p99) (us sp.LS.p999);
+  Format.printf "  retries %d  rejected %d  max-backlog %d  stale session reads %d@."
+    (LS.retries sink) (LS.rejected sink) (LS.max_backlog sink) (LS.stale_reads sink);
+  if lease_us > 0 then
+    Format.printf "  lease reads %d (leader-local, linearizable)@." lease_reads
 
 let load_cmd =
-  let module Live = Ci_runtime.Live in
-  let module LS = Ci_load.Load_stats in
-  let backend_conv = Arg.enum [ ("sim", `Sim); ("live", `Live) ] in
-  let backend =
-    Arg.(value & opt backend_conv `Sim & info [ "backend" ] ~doc:"Backend: $(b,sim) (discrete-event simulator, deterministic) or $(b,live) (OCaml 5 domains over shared-memory byte rings).")
-  in
-  let protocol =
-    Arg.(value & opt protocol_conv Runner.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol under load (any simulator protocol; $(b,--backend live) supports 1paxos and multipaxos).")
-  in
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count.") in
-  let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Driver count: one open-loop driver per client node; total offered load is $(b,--rate) times this.") in
-  let rate = Arg.(value & opt float 50_000. & info [ "rate" ] ~doc:"Offered rate per driver (requests/second).") in
-  let poisson = Arg.(value & flag & info [ "poisson" ] ~doc:"Poisson arrivals (exponential gaps) instead of the fixed-rate metronome.") in
-  let key_dist_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "uniform" ] -> Ok Ci_load.Key_dist.Uniform
-      | [ "zipf"; theta ] ->
-        (try Ok (Ci_load.Key_dist.Zipf (float_of_string theta))
-         with _ -> Error (`Msg "key-dist: expected zipf:THETA"))
-      | [ "hotkey"; hot; spread ] ->
-        (try
-           Ok
-             (Ci_load.Key_dist.Hotkey
-                { hot = float_of_string hot; spread = float_of_string spread })
-         with _ -> Error (`Msg "key-dist: expected hotkey:HOT:SPREAD"))
-      | _ ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown key distribution %S (uniform|zipf:THETA|hotkey:HOT:SPREAD)"
-                s))
-    in
-    Arg.conv (parse, Ci_load.Key_dist.pp_spec)
-  in
-  let key_dist =
-    Arg.(value & opt key_dist_conv Ci_load.Key_dist.Uniform & info [ "key-dist" ] ~doc:"Key popularity: $(b,uniform), $(b,zipf:THETA) (0.99 is the YCSB default skew) or $(b,hotkey:HOT:SPREAD).")
-  in
-  let key_space = Arg.(value & opt int 65_536 & info [ "key-space" ] ~doc:"Keys drawn from [0, key-space).") in
-  let reads = Arg.(value & opt float 0.9 & info [ "reads" ] ~doc:"Fraction of Get commands.") in
-  let cas = Arg.(value & opt float 0. & info [ "cas" ] ~doc:"Fraction of compare-and-swap commands.") in
-  let ranges = Arg.(value & opt float 0. & info [ "ranges" ] ~doc:"Fraction of single-shard Range commands.") in
-  let range_span = Arg.(value & opt int 16 & info [ "range-span" ] ~doc:"Keys per Range command.") in
-  let population = Arg.(value & opt int 100_000 & info [ "population" ] ~doc:"Logical clients multiplexed over the sessions (read-your-writes is tracked per logical client).") in
-  let sessions = Arg.(value & opt int 16 & info [ "sessions" ] ~doc:"Concurrent in-flight sessions per driver.") in
-  let lease_us = Arg.(value & opt int 0 & info [ "lease-us" ] ~doc:"Leader-lease duration (us): serve linearizable reads from the leader's local store while a majority's grants are unexpired. 0 disables leases (all reads go through consensus).") in
-  let lease_skew_us = Arg.(value & opt int 0 & info [ "lease-skew-us" ] ~doc:"Clock-rate-skew margin (us) subtracted from every grant's validity at the leader; must be < $(b,--lease-us).") in
-  let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
-  let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms; simulator backend only).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (arrival gaps and key draws derive from it).") in
-  let print_sink ~offered ~lease ~lease_reads (sink : LS.t) =
-    let us ns = float_of_int ns /. 1e3 in
-    let lp = LS.latency_percentiles sink in
-    let sp = LS.service_percentiles sink in
-    Format.printf "  offered %.0f op/s  issued %d  completed %d  achieved %.0f op/s@."
-      offered (LS.issued sink) (LS.completed sink) (LS.throughput sink);
-    Format.printf
-      "  latency from intended arrival: p50 %.1fus  p99 %.1fus  p99.9 %.1fus@."
-      (us lp.LS.p50) (us lp.LS.p99) (us lp.LS.p999);
-    Format.printf
-      "  latency from first send:       p50 %.1fus  p99 %.1fus  p99.9 %.1fus@."
-      (us sp.LS.p50) (us sp.LS.p99) (us sp.LS.p999);
-    Format.printf "  retries %d  rejected %d  max-backlog %d  stale session reads %d@."
-      (LS.retries sink) (LS.rejected sink) (LS.max_backlog sink)
-      (LS.stale_reads sink);
-    if lease > 0 then
-      Format.printf "  lease reads %d (leader-local, linearizable)@." lease_reads
-  in
-  let run backend protocol replicas clients rate poisson key_dist key_space
-      reads cas ranges range_span population sessions lease_us lease_skew_us
-      duration warmup seed =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 2 then invalid "--replicas must be >= 2"
-      else if clients < 1 then invalid "--clients must be >= 1"
-      else if rate <= 0. then invalid "--rate must be > 0"
-      else if key_space < 1 then invalid "--key-space must be >= 1"
-      else if reads < 0. || cas < 0. || ranges < 0. || reads +. cas +. ranges > 1.
-      then invalid "--reads/--cas/--ranges must be >= 0 and sum to <= 1"
-      else if range_span < 1 then invalid "--range-span must be >= 1"
-      else if population < 1 then invalid "--population must be >= 1"
-      else if sessions < 1 then invalid "--sessions must be >= 1"
-      else if lease_us < 0 then invalid "--lease-us must be >= 0"
-      else if lease_us > 0 && lease_skew_us >= lease_us then
-        invalid "--lease-skew-us must be < --lease-us"
-      else if lease_us > 0 && not (Ci_consensus.Protocol.recoverable protocol)
-      then invalid "--lease-us requires 1paxos or multipaxos"
-      else if duration < 1 then invalid "--duration-ms must be >= 1"
-      else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else if backend = `Live && not (Ci_consensus.Protocol.recoverable protocol) then
-        invalid "--backend live supports 1paxos and multipaxos only"
-      else None
-    in
-    match bad with
-    | Some code -> code
-    | None ->
+  let term =
+    let+ backend = backend
+    and+ d = deploy ~sharded:false ~clients:2 backend
+    and+ duration_ms = duration_ms 50 backend
+    and+ warmup_ms = warmup
+    and+ rate = float_opt [ "rate" ] 50_000. "Offered rate per driver (requests/second)."
+    and+ poisson =
+      flag [ "poisson" ] "Poisson arrivals (exponential gaps) instead of the fixed-rate metronome."
+    and+ key_dist =
+      Arg.(
+        value
+        & opt key_dist_conv Ci_load.Key_dist.Uniform
+        & info [ "key-dist" ]
+            ~doc:
+              "Key popularity: $(b,uniform), $(b,zipf:THETA) (0.99 is the YCSB \
+               default skew) or $(b,hotkey:HOT:SPREAD).")
+    and+ key_space = int_opt [ "key-space" ] 65_536 "Keys drawn from [0, key-space)."
+    and+ reads = float_opt [ "reads" ] 0.9 "Fraction of Get commands."
+    and+ cas = float_opt [ "cas" ] 0. "Fraction of compare-and-swap commands."
+    and+ ranges = float_opt [ "ranges" ] 0. "Fraction of single-shard Range commands."
+    and+ range_span = int_opt [ "range-span" ] 16 "Keys per Range command."
+    and+ population =
+      int_opt [ "population" ] 100_000
+        "Logical clients multiplexed over the sessions (read-your-writes is \
+         tracked per logical client)."
+    and+ sessions = int_opt [ "sessions" ] 16 "Concurrent in-flight sessions per driver."
+    and+ lease_us =
+      int_opt [ "lease-us" ] 0
+        "Leader-lease duration (us): serve linearizable reads from the leader's \
+         local store while a majority's grants are unexpired. 0 disables leases \
+         (all reads go through consensus)."
+    and+ lease_skew_us =
+      int_opt [ "lease-skew-us" ] 0
+        "Clock-rate-skew margin (us) subtracted from every grant's validity at \
+         the leader; must be < $(b,--lease-us)." in
+    fun () ->
       let arrival =
         if poisson then Ci_load.Arrival.Poisson rate else Ci_load.Arrival.Fixed rate
       in
@@ -560,84 +671,47 @@ let load_cmd =
           sessions;
         }
       in
-      let offered = rate *. float_of_int clients in
-      (match backend with
-       | `Sim ->
-         let spec =
-           {
-             (Runner.default_spec ~protocol
-                ~placement:
-                  (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
-             with
-             Runner.duration = Sim_time.ms duration;
-             warmup = Sim_time.ms warmup;
-             seed;
-             lease = Sim_time.us lease_us;
-             lease_skew = Sim_time.us lease_skew_us;
-             open_loop = Some open_loop;
-           }
-         in
-         let r = Runner.run spec in
-         Format.printf "load %s (sim): %d replicas, %d drivers@."
-           (Runner.protocol_name protocol) replicas clients;
-         let sink = Option.get r.Runner.load in
-         print_sink ~offered ~lease:lease_us ~lease_reads:r.Runner.lease_reads sink;
-         Format.printf "%a@." Ci_rsm.Consistency.pp r.Runner.consistency;
-         if Ci_rsm.Consistency.ok r.Runner.consistency && LS.stale_reads sink = 0
-         then 0
-         else 1
-       | `Live ->
-         let spec =
-           {
-             (Live.default_spec ~protocol) with
-             Live.n_replicas = replicas;
-             n_clients = clients;
-             duration_s = float_of_int duration /. 1000.;
-             seed;
-             lease = lease_us * 1_000;
-             lease_skew = lease_skew_us * 1_000;
-             open_loop = Some open_loop;
-           }
-         in
-         let r = Live.run spec in
-         Format.printf "load %s (live): %d replica + %d driver domains on %d cores@."
-           (Live.protocol_name protocol) replicas clients r.Live.cores;
-         let sink = Option.get r.Live.load in
-         print_sink ~offered ~lease:lease_us ~lease_reads:r.Live.lease_reads sink;
-         Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-         if Ci_rsm.Consistency.ok r.Live.consistency && LS.stale_reads sink = 0
-         then 0
-         else 1)
+      let d = { d with warmup_ms; lease_us; lease_skew_us; open_loop = Some open_loop } in
+      let name = Protocol.name d.protocol in
+      let o =
+        run_on backend d ~duration_ms
+          ~sim:(fun _ ->
+            Format.printf "load %s (sim): %d replicas, %d drivers@." name d.replicas
+              d.clients)
+          ~live:(fun r ->
+            Format.printf "load %s (live): %d replica + %d driver domains on %d cores@."
+              name d.replicas d.clients r.cores)
+      in
+      print_sink ~offered:(rate *. float_of_int d.clients) ~lease_us
+        ~lease_reads:o.lease_reads (Option.get o.load);
+      Format.printf "%a@." Consistency.pp o.consistency;
+      exit_code o
   in
-  let term =
-    Term.(
-      const run $ backend $ protocol $ replicas $ clients $ rate $ poisson
-      $ key_dist $ key_space $ reads $ cas $ ranges $ range_span $ population
-      $ sessions $ lease_us $ lease_skew_us $ duration $ warmup $ seed)
-  in
-  Cmd.v
-    (Cmd.info "load"
-       ~doc:"Drive open-loop load at the service: arrivals follow the offered schedule regardless of how the system keeps up, and latency is charged from each request's intended arrival (coordinated-omission aware).")
+  deployment_cmd "load"
+    ~doc:
+      "Drive open-loop load at the service: arrivals follow the offered schedule \
+       regardless of how the system keeps up, and latency is charged from each \
+       request's intended arrival (coordinated-omission aware)."
     term
 
-(* ----- nemesis -------------------------------------------------------------- *)
+(* ----- nemesis ------------------------------------------------------------ *)
 
-(* Shared tail of a nemesis run: print the failover analysis and turn
-   (consistency, recovery) into an exit code. "Recovered" means the
-   failover window saw at least one commit after the fault onset. *)
-let nemesis_verdict ~consistent (failover : Ci_obs.Failover.t option) =
-  (match failover with
+(* Print the failover analysis and turn the verdict and recovery into an
+   exit code. "Recovered" means the failover window saw at least one
+   commit after the fault onset. *)
+let nemesis_verdict o =
+  (match o.failover with
    | Some f -> Format.printf "failover: %a@." Ci_obs.Failover.pp f
    | None ->
      Format.printf "failover: n/a (first fault onset outside the measured window)@.");
   let recovered =
-    match failover with
+    match o.failover with
     | None -> true
     | Some f ->
       f.Ci_obs.Failover.time_to_failover <> None
       && f.Ci_obs.Failover.completions_after > 0
   in
-  if not consistent then begin
+  if not (passed o) then begin
     Format.eprintf "FAIL: consistency violation@.";
     1
   end
@@ -648,244 +722,89 @@ let nemesis_verdict ~consistent (failover : Ci_obs.Failover.t option) =
   else 0
 
 let nemesis_cmd =
-  let module Live = Ci_runtime.Live in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("sim", `Sim); ("live", `Live) ]) `Sim
-      & info [ "backend" ]
-          ~doc:"Backend: $(b,sim) (virtual time) or $(b,live) (real domains).")
+  let faults parse name ~docv ~doc =
+    Arg.(value & opt_all parse [] & info [ name ] ~docv ~doc)
   in
-  let protocol =
-    Arg.(
-      value & opt protocol_conv Runner.Onepaxos
-      & info [ "p"; "protocol" ]
-          ~doc:
-            "Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos \
-             ($(b,--backend live): 1paxos or multipaxos only).")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 3
-      & info [ "r"; "replicas" ]
-          ~doc:"Replica count (per group when $(b,--groups) > 1).")
-  in
-  let clients =
-    Arg.(
-      value & opt (some int) None
-      & info [ "c"; "clients" ] ~doc:"Client count (default: 5 sim, 2 live).")
-  in
-  let groups =
-    Arg.(
-      value & opt int 1
-      & info [ "g"; "groups" ]
-          ~doc:
-            "Consensus groups the keyspace is sharded over; fault node indices \
-             then range over $(b,groups * replicas) group-major replicas.")
-  in
-  let cross_shard =
-    Arg.(
-      value & opt float 0.
-      & info [ "cross-shard-ratio" ]
-          ~doc:"Fraction of commands that are cross-shard 2PC multi-puts.")
-  in
-  let duration =
-    Arg.(
-      value & opt (some int) None
-      & info [ "d"; "duration-ms" ]
-          ~doc:"Measurement window in ms (default: 50 sim, 1200 live).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:"Random seed; also feeds the schedule's drop/duplicate coin flips.")
-  in
-  let scenario =
-    Arg.(
-      value
-      & opt (some (enum [ ("crash-acceptor", `Acceptor); ("crash-leader", `Leader) ])) None
-      & info [ "scenario" ]
-          ~doc:
-            "Preset: crash the initial active acceptor (node 1) or the leader \
-             (node 0) at 40% of the window and restart it 30% later.")
-  in
-  let crashes =
-    Arg.(
-      value & opt_all crash_conv []
-      & info [ "crash" ] ~docv:"NODE:AT_MS[:DOWN_MS]"
-          ~doc:
-            "Crash $(i,NODE) at $(i,AT_MS), losing all volatile state; restart \
-             it $(i,DOWN_MS) later through the protocol's recover path \
-             (omitted: stays down). Repeatable.")
-  in
-  let pauses =
-    Arg.(
-      value & opt_all pause_conv []
-      & info [ "pause" ] ~docv:"NODE:FROM_MS:UNTIL_MS"
-          ~doc:"SIGSTOP/SIGCONT $(i,NODE) for the window; no state is lost. Repeatable.")
-  in
-  let drops =
-    Arg.(
-      value & opt_all (link_p_conv `Drop) []
-      & info [ "drop" ] ~docv:"SRC:DST:FROM_MS:UNTIL_MS:P"
-          ~doc:"Lose each $(i,SRC)->$(i,DST) message with probability $(i,P). Repeatable.")
-  in
-  let dups =
-    Arg.(
-      value & opt_all (link_p_conv `Dup) []
-      & info [ "duplicate" ] ~docv:"SRC:DST:FROM_MS:UNTIL_MS:P"
-          ~doc:"Deliver each $(i,SRC)->$(i,DST) message twice with probability $(i,P). Repeatable.")
-  in
-  let delays =
-    Arg.(
-      value & opt_all delay_conv []
-      & info [ "delay" ] ~docv:"SRC:DST:FROM_MS:UNTIL_MS:EXTRA_US"
-          ~doc:"Add $(i,EXTRA_US) of propagation to each $(i,SRC)->$(i,DST) message. Repeatable.")
-  in
-  let partitions =
-    Arg.(
-      value & opt_all partition_conv []
-      & info [ "partition" ] ~docv:"FROM_MS:UNTIL_MS:GROUPS"
-          ~doc:
-            "Cut every link between nodes in different groups for the window; \
-             groups are /-separated lists, e.g. $(b,10:20:0/1,2). Repeatable.")
-  in
-  let slows =
-    Arg.(
-      value & opt_all slow_nem_conv []
-      & info [ "slow-core" ] ~docv:"CORE:FROM_MS:UNTIL_MS:FACTOR"
-          ~doc:"Slow a core by $(i,FACTOR) (simulator only). Repeatable.")
-  in
-  let run backend protocol replicas clients groups cross_shard duration seed
-      scenario crashes pauses drops dups delays partitions slows =
-    let fail fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; 1) fmt in
-    let dur_ms =
-      match duration with
-      | Some d -> d
-      | None -> (match backend with `Sim -> 50 | `Live -> 1200)
-    in
-    let clients =
-      match clients with
-      | Some c -> c
-      | None -> (match backend with `Sim -> 5 | `Live -> 2)
-    in
-    if replicas < 2 then fail "--replicas must be >= 2"
-    else if clients < 1 then fail "--clients must be >= 1"
-    else if groups < 1 then fail "--groups must be >= 1"
-    else if cross_shard < 0. || cross_shard > 1. then
-      fail "--cross-shard-ratio must be in [0, 1]"
-    else if dur_ms < 1 then fail "--duration-ms must be >= 1"
-    else begin
-      let scen =
+  let term =
+    let+ backend = backend
+    and+ d = deploy ~clients:5 ~live_clients:2 backend
+    and+ duration_ms = duration_ms ~live:1200 50 backend
+    and+ scenario =
+      Arg.(
+        value
+        & opt (some (enum [ ("crash-acceptor", `Acceptor); ("crash-leader", `Leader) ])) None
+        & info [ "scenario" ]
+            ~doc:
+              "Preset: crash the initial active acceptor (node 1) or the leader \
+               (node 0) at 40% of the window and restart it 30% later.")
+    and+ crashes =
+      faults crash_conv "crash" ~docv:"NODE:AT_MS[:DOWN_MS]"
+        ~doc:
+          "Crash $(i,NODE) at $(i,AT_MS), losing all volatile state; restart it \
+           $(i,DOWN_MS) later through the protocol's recover path (omitted: \
+           stays down). Repeatable."
+    and+ pauses =
+      faults pause_conv "pause" ~docv:"NODE:FROM_MS:UNTIL_MS"
+        ~doc:
+          "Pause $(i,NODE) for the window: it handles no message and fires no \
+           timer until it resumes and drains its backlog; no state is lost. \
+           Repeatable."
+    and+ drops =
+      faults (link_p_conv `Drop) "drop" ~docv:"SRC:DST:FROM_MS:UNTIL_MS:P"
+        ~doc:"Lose each $(i,SRC)->$(i,DST) message with probability $(i,P). Repeatable."
+    and+ dups =
+      faults (link_p_conv `Dup) "duplicate" ~docv:"SRC:DST:FROM_MS:UNTIL_MS:P"
+        ~doc:
+          "Deliver each $(i,SRC)->$(i,DST) message twice with probability $(i,P). \
+           Repeatable."
+    and+ delays =
+      faults delay_conv "delay" ~docv:"SRC:DST:FROM_MS:UNTIL_MS:EXTRA_US"
+        ~doc:
+          "Add $(i,EXTRA_US) of propagation to each $(i,SRC)->$(i,DST) message. \
+           Repeatable."
+    and+ partitions =
+      faults partition_conv "partition" ~docv:"FROM_MS:UNTIL_MS:GROUPS"
+        ~doc:
+          "Cut every link between nodes in different groups for the window; \
+           groups are /-separated lists, e.g. $(b,10:20:0/1,2). Repeatable."
+    and+ slows = slow_cores in
+    fun () ->
+      let scenario =
         match scenario with
         | None -> []
         | Some which ->
-          let node = match which with `Acceptor -> 1 | `Leader -> 0 in
           [
             Ci_faults.Crash
               {
-                node;
-                at = Sim_time.ms (dur_ms * 2 / 5);
-                down_for = Some (Sim_time.ms (max 1 (dur_ms * 3 / 10)));
+                node = (match which with `Acceptor -> 1 | `Leader -> 0);
+                at = Sim_time.ms (duration_ms * 2 / 5);
+                down_for = Some (Sim_time.ms (max 1 (duration_ms * 3 / 10)));
               };
           ]
       in
       let faults =
-        scen @ crashes @ pauses @ drops @ dups @ delays @ partitions @ slows
+        scenario @ crashes @ pauses @ drops @ dups @ delays @ partitions @ slows
       in
-      let sched = { Ci_faults.seed; faults } in
       if faults = [] then
-        fail
+        invalid_arg
           "empty fault schedule: pass --scenario or at least one of \
-           --crash/--pause/--drop/--duplicate/--delay/--partition/--slow-core"
-      else
-        match Ci_faults.validate ~n_nodes:(groups * replicas) sched with
-        | Error m -> fail "invalid fault schedule: %s" m
-        | Ok () ->
-          (match backend with
-           | `Sim ->
-             let spec =
-               {
-                 (Runner.default_spec ~protocol
-                    ~placement:
-                      (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
-                 with
-                 Runner.duration = Sim_time.ms dur_ms;
-                 seed;
-                 groups;
-                 cross_shard_ratio = cross_shard;
-                 nemesis = sched;
-               }
-             in
-             (try
-                let r = Runner.run spec in
-                Format.printf "%a@." Runner.pp_result r;
-                (match r.Runner.atomicity with
-                 | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-                 | None -> ());
-                nemesis_verdict
-                  ~consistent:
-                    (Ci_rsm.Consistency.ok r.Runner.consistency
-                    && (match r.Runner.atomicity with
-                       | Some a -> Ci_rsm.Atomicity.ok a
-                       | None -> true))
-                  r.Runner.failover
-              with Invalid_argument m -> fail "%s" m)
-           | `Live ->
-             (match protocol with
-              | Runner.Onepaxos | Runner.Multipaxos ->
-                let spec =
-                  {
-                    (Live.default_spec ~protocol) with
-                    Live.n_replicas = replicas;
-                    n_clients = clients;
-                    groups;
-                    cross_shard_ratio = cross_shard;
-                    duration_s = float_of_int dur_ms /. 1000.;
-                    seed;
-                    nemesis = sched;
-                  }
-                in
-                (try
-                   let r = Live.run spec in
-                   Format.printf
-                     "live %s: %d ops, %.0f op/s, retries %d, leader-changes \
-                      %d, acceptor-changes %d@."
-                     (Live.protocol_name protocol) r.Live.ops r.Live.throughput
-                     r.Live.retries r.Live.leader_changes
-                     r.Live.acceptor_changes;
-                   Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-                   (match r.Live.atomicity with
-                    | Some a ->
-                      Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-                    | None -> ());
-                   nemesis_verdict
-                     ~consistent:
-                       (Ci_rsm.Consistency.ok r.Live.consistency
-                       && (match r.Live.atomicity with
-                          | Some a -> Ci_rsm.Atomicity.ok a
-                          | None -> true))
-                     r.Live.failover
-                 with Invalid_argument m -> fail "%s" m)
-              | p ->
-                fail "--backend live supports 1paxos and multipaxos (got %s)"
-                  (Runner.protocol_name p)))
-    end
+           --crash/--pause/--drop/--duplicate/--delay/--partition/--slow-core";
+      run_on backend { d with faults } ~duration_ms ~sim:print_sim ~live:(fun r ->
+          Format.printf
+            "live %s: %d ops, %.0f op/s, retries %d, leader-changes %d, \
+             acceptor-changes %d@."
+            (Protocol.name d.protocol) r.ops r.throughput r.retries r.leader_changes
+            r.acceptor_changes;
+          Format.printf "%a@." Consistency.pp r.consistency;
+          print_atomicity r.atomicity)
+      |> nemesis_verdict
   in
-  let term =
-    Term.(
-      const run $ backend $ protocol $ replicas $ clients $ groups
-      $ cross_shard $ duration $ seed $ scenario $ crashes $ pauses $ drops
-      $ dups $ delays $ partitions $ slows)
-  in
-  Cmd.v
-    (Cmd.info "nemesis"
-       ~doc:
-         "Run one experiment under a declarative fault schedule (crash, pause, \
-          drop, duplicate, delay, partition, slow core) on either backend and \
-          report the failover analysis; exits 1 on a consistency violation or \
-          if commits never resume after the fault.")
+  deployment_cmd "nemesis"
+    ~doc:
+      "Run one experiment under a declarative fault schedule (crash, pause, \
+       drop, duplicate, delay, partition, slow core) on either backend and \
+       report the failover analysis; exits 1 on a consistency violation or if \
+       commits never resume after the fault."
     term
 
 (* ----- figures -------------------------------------------------------------- *)
@@ -893,7 +812,6 @@ let nemesis_cmd =
 (* Live-backend twin of [E.failover]: the same crash-restart schedule on
    real domains, with wall-clock 100 ms buckets. *)
 let live_failover_timelines () =
-  let module Live = Ci_runtime.Live in
   let base =
     {
       (Live.default_spec ~protocol:Live.Onepaxos) with
@@ -917,7 +835,7 @@ let live_failover_timelines () =
   in
   let case label spec =
     let r = Live.run spec in
-    if not (Ci_rsm.Consistency.ok r.Live.consistency) then
+    if not (Consistency.ok r.Live.consistency) then
       failwith (label ^ ": consistency violation");
     {
       E.label;
@@ -1065,12 +983,6 @@ let figures_cmd =
 let explore_cmd =
   let module Trace = Ci_explore.Trace in
   let module Search = Ci_explore.Search in
-  let protocol =
-    Arg.(
-      value & opt protocol_conv Trace.Onepaxos
-      & info [ "p"; "protocol" ]
-          ~doc:"Protocol to check: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
-  in
   let replicas =
     Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count (2-7).")
   in
@@ -1135,12 +1047,6 @@ let explore_cmd =
             "Replay a trace written by $(b,--trace-out) instead of exploring; \
              all bound/config flags are ignored (the trace header wins).")
   in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Format.printf "wrote %s@." path
-  in
   let events_sidecar events_out cfg choices =
     match events_out with
     | None -> ()
@@ -1165,14 +1071,7 @@ let explore_cmd =
       max_states stale_adoption trace_out events_out replay_file =
     match replay_file with
     | Some path -> (
-      let contents =
-        let ic = open_in path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      match Trace.of_string contents with
+      match Trace.of_string (In_channel.with_open_text path In_channel.input_all) with
       | Error msg ->
         Format.eprintf "unreadable trace %s: %s@." path msg;
         2

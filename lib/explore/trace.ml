@@ -5,9 +5,6 @@ type protocol = Ci_consensus.Protocol.t =
   | Mencius
   | Cheappaxos
 
-let protocol_name = Ci_consensus.Protocol.name
-let protocol_of_name = Ci_consensus.Protocol.of_string
-
 type config = {
   protocol : protocol;
   n_replicas : int;
@@ -77,7 +74,7 @@ let config_to_line c =
   Printf.sprintf
     "config proto=%s replicas=%d clients=%d commands=%d seed=%d drops=%d \
      crashes=%d fires=%d stale_adoption=%b"
-    (protocol_name c.protocol)
+    (Ci_consensus.Protocol.name c.protocol)
     c.n_replicas c.n_clients c.n_commands c.seed c.drop_budget c.crash_budget
     c.fire_budget c.unsafe_stale_adoption
 
@@ -97,7 +94,7 @@ let config_of_line line =
     let int_field k = Option.bind (Hashtbl.find_opt tbl k) int_of_string_opt in
     let bool_field k = Option.bind (Hashtbl.find_opt tbl k) bool_of_string_opt in
     match
-      ( Option.bind (Hashtbl.find_opt tbl "proto") protocol_of_name,
+      ( Option.bind (Hashtbl.find_opt tbl "proto") Ci_consensus.Protocol.of_string,
         int_field "replicas", int_field "clients", int_field "commands",
         int_field "seed", int_field "drops", int_field "crashes",
         int_field "fires", bool_field "stale_adoption" )

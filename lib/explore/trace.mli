@@ -20,12 +20,6 @@ type protocol = Ci_consensus.Protocol.t =
   | Mencius
   | Cheappaxos
 
-val protocol_name : protocol -> string
-(** {!Ci_consensus.Protocol.name}. *)
-
-val protocol_of_name : string -> protocol option
-(** {!Ci_consensus.Protocol.of_string}. *)
-
 type config = {
   protocol : protocol;
   n_replicas : int;  (** Replica population (nodes [0 .. n-1]). *)

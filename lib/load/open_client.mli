@@ -41,8 +41,9 @@ val default_config : targets:int array -> config
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on empty targets, non-positive timeout /
-    keyspace / population / sessions, a mix that is negative or sums
-    past 1, or invalid arrival / key-distribution parameters. *)
+    keyspace / population / sessions / range span, a mix that is
+    negative or sums past 1, or invalid arrival / key-distribution
+    parameters. *)
 
 type t
 

@@ -70,13 +70,6 @@ let default_spec ~protocol =
     nemesis = Ci_faults.empty;
   }
 
-let protocol_of_string s =
-  match Protocol.of_string s with
-  | Some (Onepaxos | Multipaxos as p) -> Some p
-  | Some (Twopc | Mencius | Cheappaxos) | None -> None
-
-let protocol_name = Protocol.name
-
 let transport_of_string = function
   | "spsc" | "rings" -> Some Spsc
   | "socket" | "sockets" -> Some Socket
@@ -203,8 +196,8 @@ let validate spec =
          (Protocol.name spec.protocol));
   if spec.n_replicas < 2 then invalid_arg "Live.run: need >= 2 replicas";
   Deployment.validate ~who:"Live.run" (deployment spec);
-  if spec.duration_s <= 0. then invalid_arg "Live.run: duration_s must be > 0";
-  if spec.drain_s < 0. then invalid_arg "Live.run: drain_s must be >= 0";
+  if not (spec.duration_s > 0.) then invalid_arg "Live.run: duration_s must be > 0";
+  if not (spec.drain_s >= 0.) then invalid_arg "Live.run: drain_s must be >= 0";
   if spec.queue_slots < 1 then invalid_arg "Live.run: queue_slots must be >= 1";
   if
     spec.slot_size < Spsc_bytes.min_slot_size

@@ -195,13 +195,6 @@ val run : spec -> result
     provide sockets or processes.
     @raise Invalid_argument on a malformed spec (see field docs). *)
 
-val protocol_of_string : string -> protocol option
-(** {!Ci_consensus.Protocol.of_string} restricted to the two protocols
-    the live runtime runs. *)
-
-val protocol_name : protocol -> string
-(** {!Ci_consensus.Protocol.name}. *)
-
 val transport_of_string : string -> transport option
 (** Accepts ["spsc"], ["rings"], ["socket"], ["sockets"]. *)
 

@@ -60,6 +60,11 @@ let validate ~who ?n_cores d =
   if not (d.read_ratio >= 0. && d.read_ratio <= 1.) then
     fail "read_ratio must be in [0, 1]";
   if d.key_space < 1 then fail "key_space must be >= 1";
+  if tu.batch < 1 then fail "batch must be >= 1";
+  if tu.batch_delay < 0 then fail "batch_delay must be >= 0";
+  if tu.pipeline < 0 then fail "pipeline must be >= 0 (0 = unbounded)";
+  if d.replicas < 2 && (d.open_loop <> None || not (Ci_faults.is_empty d.nemesis))
+  then fail "open-loop load and fault injection need at least two replicas";
   if d.groups > 1 then begin
     if not recoverable then
       fail "groups > 1 requires a shardable protocol (1paxos or multipaxos)";

@@ -61,7 +61,9 @@ val validate : who:string -> ?n_cores:int -> t -> unit
     negative think time, an empty key space, sharding or leases on a protocol that is not
     {!Protocol.recoverable} or combined with relaxed reads or a joint
     placement, open-loop load on a joint placement, a negative lease or
-    a skew not below it, an invalid nemesis schedule ([n_cores] bounds
+    a skew not below it, a batch below 1, a negative batch delay or
+    pipeline window, fewer than two replicas under open-loop load or a
+    non-empty nemesis, an invalid nemesis schedule ([n_cores] bounds
     its slow cores), and crash/pause faults on a protocol without
     recovery or a joint placement. *)
 

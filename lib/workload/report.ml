@@ -125,8 +125,5 @@ let gnuplot_timelines ~title ~csv (ts : Experiments.timeline list) =
 let write_file ~dir ~name contents =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir name in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
   path

@@ -17,8 +17,6 @@ type protocol = Ci_consensus.Protocol.t =
   | Mencius
   | Cheappaxos
 
-let protocol_name = Ci_consensus.Protocol.name
-
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
   | Joint of { n_nodes : int }
@@ -231,6 +229,10 @@ let run spec =
   let n_cores = Topology.n_cores spec.topology in
   let d = deployment spec in
   Deployment.validate ~who:"Runner.run" ~n_cores d;
+  if spec.duration <= 0 then invalid_arg "Runner.run: duration must be > 0";
+  if spec.warmup < 0 then invalid_arg "Runner.run: warmup must be >= 0";
+  if spec.params.Net_params.coalesce < 1 then
+    invalid_arg "Runner.run: coalesce must be >= 1";
   let total_replicas = Deployment.total_replicas d in
   if total_replicas > n_cores then
     invalid_arg "Runner.run: more replicas than cores";

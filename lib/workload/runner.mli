@@ -15,9 +15,6 @@ type protocol = Ci_consensus.Protocol.t =
   | Mencius
   | Cheappaxos
 
-val protocol_name : protocol -> string
-(** {!Ci_consensus.Protocol.name}. *)
-
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
   | Joint of { n_nodes : int }
@@ -211,8 +208,10 @@ type result = {
 
 val run : spec -> result
 (** [run spec] executes the experiment and returns its measurements.
-    Raises [Invalid_argument] on nonsensical placements (more replicas
-    than cores, joint with fewer than two nodes, ...). *)
+    Raises [Invalid_argument] on a spec {!Deployment.validate} rejects,
+    on a non-positive [duration], a negative [warmup] or a coalescing
+    budget below 1, and on nonsensical placements (more replicas than
+    cores, joint with fewer than two nodes, ...). *)
 
 val leader_util : result -> float
 (** [leader_util r] is core 0's measurement-window utilization ([0.]

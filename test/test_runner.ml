@@ -1,6 +1,7 @@
 (* The experiment runner: placements, measurement windows, faults. *)
 
 module Runner = Ci_workload.Runner
+module Protocol = Ci_consensus.Protocol
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
@@ -119,21 +120,64 @@ let test_invalid_placements () =
       Runner.topology = Topology.opteron_8;
     }
 
+(* The windows, batching and coalescing checks, and the two-replica floor
+   under open-loop load or faults, live here rather than in a front end,
+   for every protocol (2PC ignores batching but still rejects nonsense). *)
+let test_invalid_windows_and_tuning () =
+  let check_invalid name spec =
+    match Runner.run spec with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let twopc = quick_spec ~protocol:Runner.Twopc () in
+  check_invalid "zero duration" { twopc with Runner.duration = 0 };
+  check_invalid "negative warmup" { twopc with Runner.warmup = -1 };
+  check_invalid "zero coalescing budget"
+    { twopc with Runner.params = { Net_params.multicore with Net_params.coalesce = 0 } };
+  check_invalid "zero batch" { twopc with Runner.batch = 0 };
+  check_invalid "negative batch delay" { twopc with Runner.batch_delay = -1 };
+  check_invalid "negative pipeline" { twopc with Runner.pipeline = -1 };
+  let one_replica =
+    quick_spec ~protocol:Runner.Multipaxos
+      ~placement:(Runner.Dedicated { n_replicas = 1; n_clients = 1 }) ()
+  in
+  check_invalid "open-loop load on one replica"
+    { one_replica with Runner.open_loop = Some Runner.default_open_loop };
+  check_invalid "faults on one replica"
+    {
+      one_replica with
+      Runner.nemesis =
+        {
+          Ci_faults.seed = 1;
+          faults =
+            [ Ci_faults.Slow { core = 0; from_ = 0; until_ = Sim_time.ms 1; factor = 2. } ];
+        };
+    };
+  let open_loop ol = { (quick_spec ()) with Runner.open_loop = Some ol } in
+  check_invalid "open-loop range span below 1"
+    (open_loop { Runner.default_open_loop with Runner.range_span = 0 });
+  check_invalid "NaN read fraction"
+    (open_loop
+       {
+         Runner.default_open_loop with
+         Runner.mix = { Ci_load.Open_client.reads = Float.nan; cas = 0.; ranges = 0. };
+       })
+
 let test_colocated_acceptor_option () =
   let r = Runner.run { (quick_spec ()) with Runner.colocate_acceptor = true } in
   Alcotest.(check bool) "colocated config still commits" true (r.Runner.commits > 0);
   Alcotest.(check bool) "consistent" true (Ci_rsm.Consistency.ok r.Runner.consistency)
 
 let test_protocol_names () =
-  Alcotest.(check string) "1paxos" "1paxos" (Runner.protocol_name Runner.Onepaxos);
+  Alcotest.(check string) "1paxos" "1paxos" (Protocol.name Runner.Onepaxos);
   Alcotest.(check string) "multipaxos" "multipaxos"
-    (Runner.protocol_name Runner.Multipaxos);
-  Alcotest.(check string) "2pc" "2pc" (Runner.protocol_name Runner.Twopc);
+    (Protocol.name Runner.Multipaxos);
+  Alcotest.(check string) "2pc" "2pc" (Protocol.name Runner.Twopc);
   (* One parser for every front end: the union of their aliases. *)
   List.iter
     (fun (s, expect) ->
       Alcotest.(check (option string)) s expect
-        (Option.map Runner.protocol_name (Ci_consensus.Protocol.of_string s)))
+        (Option.map Protocol.name (Protocol.of_string s)))
     [
       ("1paxos", Some "1paxos");
       ("onepaxos", Some "1paxos");
@@ -184,7 +228,7 @@ let messages_per_commit ?(batch = 1) ?(pipeline = 0) protocol =
   in
   let r = Runner.run spec in
   Alcotest.(check bool)
-    (Printf.sprintf "%s commits" (Runner.protocol_name protocol))
+    (Printf.sprintf "%s commits" (Protocol.name protocol))
     true (r.Runner.commits > 100);
   float_of_int r.Runner.messages /. float_of_int r.Runner.commits
 
@@ -329,6 +373,8 @@ let suite =
       Alcotest.test_case "crash-core fault" `Quick test_crash_core_fault;
       Alcotest.test_case "timeline present" `Quick test_timeline_length;
       Alcotest.test_case "invalid placements rejected" `Quick test_invalid_placements;
+      Alcotest.test_case "invalid windows and tuning rejected" `Quick
+        test_invalid_windows_and_tuning;
       Alcotest.test_case "colocated acceptor option" `Quick test_colocated_acceptor_option;
       Alcotest.test_case "protocol names" `Quick test_protocol_names;
       Alcotest.test_case "window split arithmetic" `Quick test_window_split_sums;

@@ -6,6 +6,7 @@
 
 module Live = Ci_runtime.Live
 module Runner = Ci_workload.Runner
+module Protocol = Ci_consensus.Protocol
 module Consistency = Ci_rsm.Consistency
 
 let short_spec protocol =
@@ -299,12 +300,14 @@ let test_validation () =
   in
   let ok = Live.default_spec ~protocol:Live.Onepaxos in
   List.iter
-    (fun p -> expect_invalid (Live.protocol_name p) { ok with Live.protocol = p })
+    (fun p -> expect_invalid (Protocol.name p) { ok with Live.protocol = p })
     [ Live.Twopc; Live.Mencius; Live.Cheappaxos ];
   expect_invalid "replicas" { ok with Live.n_replicas = 1 };
   expect_invalid "clients" { ok with Live.n_clients = 0 };
   expect_invalid "duration" { ok with Live.duration_s = 0. };
+  expect_invalid "NaN duration" { ok with Live.duration_s = Float.nan };
   expect_invalid "drain" { ok with Live.drain_s = -0.1 };
+  expect_invalid "NaN drain" { ok with Live.drain_s = Float.nan };
   expect_invalid "slots" { ok with Live.queue_slots = 0 };
   expect_invalid "slot size not a power of two" { ok with Live.slot_size = 96 };
   expect_invalid "slot size below minimum"
@@ -337,16 +340,18 @@ let test_validation () =
     }
 
 let test_protocol_names () =
+  (* The live runtime parses protocol names like every front end;
+     [Live.run] rejects the three it does not run (see [test_validation]). *)
   List.iter
     (fun (s, expect) ->
       Alcotest.(check (option string)) s expect
-        (Option.map Live.protocol_name (Live.protocol_of_string s)))
+        (Option.map Protocol.name (Protocol.of_string s)))
     [
       ("onepaxos", Some "1paxos");
       ("1paxos", Some "1paxos");
       ("multipaxos", Some "multipaxos");
       ("multi-paxos", Some "multipaxos");
-      ("2pc", None);
+      ("2pc", Some "2pc");
     ];
   List.iter
     (fun (s, expect) ->
