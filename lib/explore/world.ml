@@ -383,9 +383,15 @@ let digest t =
       (fun q -> List.map (fun (at, _) -> at - t.clock) (Event_queue.snapshot q))
       t.timers
   in
-  Hashtbl.hash_param 4000 4000
+  let state =
     ( role_digests, !links, timers, t.alive, t.fires_left,
       (t.drops_left, t.crashes_left) )
+  in
+  (* Two differently seeded 30-bit hashes side by side: one alone
+     collides often enough on large searches to prune unexplored
+     states as visited. *)
+  let h seed = Hashtbl.seeded_hash_param 4000 4000 seed state in
+  (h 0 lsl 30) lor h 1
 
 (* ---- properties ------------------------------------------------------ *)
 

@@ -53,7 +53,8 @@ val digest : t -> int
 (** Structural fingerprint for the visited-state table: per-replica
     protocol digests, client progress, the in-flight message multiset
     per link, relative timer deadlines, liveness flags and remaining
-    budgets. Equal states give equal digests; the documented
+    budgets, hashed into 60 bits (two differently seeded 30-bit
+    hashes). Equal states give equal digests; the documented
     abstractions (relative time, thunk-blind timers, unhashed RNG
     state, hash collisions) mean the converse can fail — see
     DESIGN.md §14 for why pruning on it is a soundness trade. *)
