@@ -81,6 +81,57 @@ let multipaxos_exhausts_with_a_crash () =
   | Search.Violated { violation; _ } ->
     Alcotest.failf "unexpected violation: %a" Search.pp_violation violation
 
+(* ----- the explored space, pinned --------------------------------------- *)
+
+(* Exact search statistics, outcome and shrunk-trace hash for small
+   configs across the protocols. A change to the world that grows,
+   shrinks or reorders the explored space fails here even when every
+   verdict survives — the oracle a refactor of the explorer keeps. *)
+let summary (r : Search.result) =
+  let s = r.Search.stats in
+  let outcome =
+    match r.Search.outcome with
+    | Search.Exhausted -> "exhausted"
+    | Search.Bounded -> "bounded"
+    | Search.Violated { shrunk; _ } ->
+      Printf.sprintf "violated %d:%s" (List.length shrunk) (Trace.hash_hex shrunk)
+  in
+  Printf.sprintf
+    "states=%d executions=%d choices=%d branches=%d dedup_hits=%d \
+     sleep_skips=%d rounds=%d closures=%d %s"
+    s.Search.states s.Search.executions s.Search.choices_applied
+    s.Search.branches s.Search.dedup_hits s.Search.sleep_skips
+    s.Search.deepening_rounds s.Search.closures outcome
+
+let explored_space_is_pinned () =
+  let pin name ?(bounds = bounds ()) config expect =
+    Alcotest.(check string) name expect (summary (Search.explore ~bounds config))
+  in
+  pin "1paxos, one crash"
+    (cfg ~crashes:1 ~fires:0 ())
+    "states=251 executions=251 choices=1662 branches=249 dedup_hits=105 \
+     sleep_skips=13 rounds=2 closures=16 exhausted";
+  pin "multipaxos, one crash"
+    (cfg ~protocol:Trace.Multipaxos ~crashes:1 ~fires:0 ~commands:1 ())
+    "states=3824 executions=3824 choices=35244 branches=3822 dedup_hits=2430 \
+     sleep_skips=605 rounds=2 closures=10 exhausted";
+  pin "2pc, one crash"
+    (cfg ~protocol:Trace.Twopc ~crashes:1 ~fires:0 ())
+    "states=80 executions=80 choices=570 branches=79 dedup_hits=27 \
+     sleep_skips=11 rounds=1 closures=1 violated 1:ed5329bc4cc19326";
+  (* Mencius's liveness closures are quadratic in its skip flood; the
+     lower step cap keeps the pin quick and convicts at the same state
+     as the default 20k cap. *)
+  pin "mencius, one crash"
+    ~bounds:{ Search.default_bounds with Search.closure_steps = 2_000 }
+    (cfg ~protocol:Trace.Mencius ~crashes:1 ~fires:0 ~commands:1 ())
+    "states=1001 executions=1001 choices=6564 branches=1000 dedup_hits=613 \
+     sleep_skips=204 rounds=1 closures=2 violated 1:ed5329bc4cc19326";
+  pin "cheap paxos, fault-free" ~bounds:Search.default_bounds
+    (cfg ~protocol:Trace.Cheappaxos ~fires:0 ~commands:1 ())
+    "states=11 executions=11 choices=39 branches=10 dedup_hits=0 \
+     sleep_skips=5 rounds=1 closures=0 exhausted"
+
 (* ----- genuine liveness counterexamples --------------------------------- *)
 
 (* 2PC's defining weakness: it blocks if any participant fails, since
@@ -332,6 +383,7 @@ let suite =
         onepaxos_exhausts_with_a_crash;
       Alcotest.test_case "multipaxos exhausts with a crash" `Slow
         multipaxos_exhausts_with_a_crash;
+      Alcotest.test_case "explored space is pinned" `Quick explored_space_is_pinned;
       Alcotest.test_case "2pc blocks on any crash" `Quick twopc_blocks_on_any_crash;
       Alcotest.test_case "mencius blocks on any crash" `Quick
         mencius_blocks_on_any_crash;
