@@ -3,34 +3,47 @@ module Event_queue = Ci_engine.Event_queue
 module Sim_time = Ci_engine.Sim_time
 module Rng = Ci_engine.Rng
 module Wire = Ci_consensus.Wire
-module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
 module Event = Ci_obs.Event
 module Protocol = Ci_consensus.Protocol
+module Deployment = Ci_workload.Deployment
+module Client = Ci_workload.Client
 
-(* How long an explorer client waits for a [Reply] before retrying on
-   the next replica. Only relative order within one node's timer queue
-   matters to the explorer; 2 ms sits safely above every protocol
-   timeout so a replica's own failure detector outruns client churn. *)
-let retry_delay = Sim_time.ms 2
-
-type client = {
-  c_id : int;
-  mutable c_next : int; (* next request index to issue *)
-  mutable c_current : (int * Command.t) option;
-  mutable c_target : int; (* replica currently addressed *)
-  mutable c_attempt : int; (* transmission generation, as in Client *)
-  mutable c_retry : Node_env.timer option;
-  mutable c_acked : (int * int) list;
-  mutable c_env : Wire.t Node_env.t option; (* set once at creation *)
-}
-
-type role = Replica of Protocol.replica | Client of client
+(* The deployment a config describes: one group of dedicated replicas
+   at default tuning (only the 1Paxos stale-adoption fixture is
+   configurable) and closed-loop clients writing over two keys, so
+   executions interleave state. Only relative order within one node's
+   timer queue matters to the explorer; the 2 ms client timeout sits
+   safely above every protocol timeout so a replica's own failure
+   detector outruns client churn. *)
+let deployment (cfg : Trace.config) =
+  {
+    Deployment.protocol = cfg.protocol;
+    groups = 1;
+    replicas = cfg.n_replicas;
+    clients = cfg.n_clients;
+    joint = false;
+    cross_shard_ratio = 0.;
+    tuning =
+      {
+        Protocol.default_tuning with
+        Protocol.unsafe_stale_adoption = cfg.unsafe_stale_adoption;
+      };
+    timeout = Sim_time.ms 2;
+    think = 0;
+    read_ratio = 0.;
+    key_space = 2;
+    max_requests = Some cfg.n_commands;
+    open_loop = None;
+    nemesis = Ci_faults.empty;
+  }
 
 type t = {
   cfg : Trace.config;
+  d : Deployment.t;
   n : int; (* total nodes: replicas then clients *)
-  mutable roles : role array;
+  mutable nodes : Deployment.nodes option; (* set once by [create] *)
+  mutable handlers : (src:int -> Wire.t -> unit) array;
   timers : (unit -> unit) Event_queue.t array;
   self_q : Wire.t Queue.t array;
   alive : bool array;
@@ -40,12 +53,12 @@ type t = {
   mutable drops_left : int;
   mutable crashes_left : int;
   mutable seq : int; (* machine-wide send sequence, links Send to Recv *)
-  issued : (int * int, Command.t) Hashtbl.t;
   ring : Event.ring option;
 }
 
 let config t = t.cfg
 let clock t = t.clock
+let nodes t = Option.get t.nodes
 let emit t ev = match t.ring with Some r -> Event.emit r ev | None -> ()
 
 let emit_kind t ~core ~label kind =
@@ -71,66 +84,12 @@ let send t ~src ~dst msg =
     Queue.add (t.seq, msg) t.links.(src).(dst)
   end
 
-let rec dispatch t i ~src msg =
-  match t.roles.(i) with
-  | Replica r -> Protocol.handler r ~src msg
-  | Client c -> (
-    match msg with
-    | Wire.Reply { req_id; result = _ } -> (
-      match c.c_current with
-      | Some (r, _) when r = req_id ->
-        c.c_current <- None;
-        (match c.c_retry with
-        | Some tm ->
-          Node_env.cancel_timer tm;
-          c.c_retry <- None
-        | None -> ());
-        c.c_acked <- (c.c_id, req_id) :: c.c_acked;
-        client_issue t c
-      | Some _ | None -> () (* stale or duplicate reply *))
-    | _ -> ())
-
-and client_issue t c =
-  if c.c_next < t.cfg.Trace.n_commands then begin
-    let req_id = c.c_next in
-    c.c_next <- c.c_next + 1;
-    (* Deterministic commands: distinct data per (client, request) so a
-       disagreement between replicas is observable as differing
-       values, over a two-key space so executions interleave state. *)
-    let cmd =
-      Command.Put { key = req_id mod 2; data = ((c.c_id + 1) * 1000) + req_id }
-    in
-    Hashtbl.replace t.issued (c.c_id, req_id) cmd;
-    c.c_current <- Some (req_id, cmd);
-    client_transmit t c
-  end
-
-and client_transmit t c =
-  match (c.c_current, c.c_env) with
-  | Some (req_id, cmd), Some env ->
-    env.Node_env.send ~dst:c.c_target
-      (Wire.Request { req_id; cmd; relaxed_read = false });
-    c.c_attempt <- c.c_attempt + 1;
-    let this = c.c_attempt in
-    c.c_retry <-
-      Some
-        (env.Node_env.after_cancel ~delay:retry_delay (fun () ->
-             c.c_retry <- None;
-             match c.c_current with
-             | Some (r, _) when r = req_id && this = c.c_attempt ->
-               (* No reply: rotate to the next replica (the addressed
-                  one may be deposed or dead) and resend. *)
-               c.c_target <- (c.c_target + 1) mod t.cfg.Trace.n_replicas;
-               client_transmit t c
-             | Some _ | None -> ()))
-  | _ -> ()
-
 let rec drain_self t i =
   match Queue.take_opt t.self_q.(i) with
   | None -> ()
   | Some msg ->
     emit_kind t ~core:i ~label:"" (Event.Self_deliver { node = i });
-    dispatch t i ~src:i msg;
+    t.handlers.(i) ~src:i msg;
     drain_self t i
 
 (* ---- construction ---------------------------------------------------- *)
@@ -156,30 +115,19 @@ let env t i =
       (fun ~phase -> emit_kind t ~core:i ~label:phase (Event.Phase { node = i; phase }));
   }
 
-(* Every protocol keeps its default config; only the 1Paxos
-   stale-adoption fixture is configurable. *)
-let make_replicas t =
-  let replicas = Array.init t.cfg.Trace.n_replicas Fun.id in
-  let tuning =
-    {
-      Protocol.default_tuning with
-      Protocol.unsafe_stale_adoption = t.cfg.Trace.unsafe_stale_adoption;
-    }
-  in
-  Array.map
-    (fun i -> Protocol.create t.cfg.Trace.protocol tuning ~replicas ~env:(env t i))
-    replicas
-
 let create ?ring cfg =
   (match Trace.validate_config cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("World.create: " ^ msg));
-  let n = cfg.Trace.n_replicas + cfg.Trace.n_clients in
+  let d = deployment cfg in
+  let n = Deployment.n_nodes d in
   let t =
     {
       cfg;
+      d;
       n;
-      roles = [||];
+      nodes = None;
+      handlers = [||];
       timers = Array.init n (fun _ -> Event_queue.create ());
       self_q = Array.init n (fun _ -> Queue.create ());
       alive = Array.make n true;
@@ -189,40 +137,23 @@ let create ?ring cfg =
       drops_left = cfg.Trace.drop_budget;
       crashes_left = cfg.Trace.crash_budget;
       seq = 0;
-      issued = Hashtbl.create 31;
       ring;
     }
   in
-  let replicas = make_replicas t in
-  let clients =
-    Array.init cfg.Trace.n_clients (fun k ->
-        let id = cfg.Trace.n_replicas + k in
-        (* Mencius is leaderless, so spread clients across owners;
-           every other protocol has a seeded leader/coordinator at
-           replica 0. *)
-        let primary =
-          match cfg.Trace.protocol with
-          | Trace.Mencius -> k mod cfg.Trace.n_replicas
-          | _ -> 0
-        in
-        let c =
-          {
-            c_id = id;
-            c_next = 0;
-            c_current = None;
-            c_target = primary;
-            c_attempt = 0;
-            c_retry = None;
-            c_acked = [];
-            c_env = None;
-          }
-        in
-        c.c_env <- Some (env t id);
-        Client c)
+  let stats = Ci_workload.Run_stats.create ~bucket:(Sim_time.ms 1) in
+  let nodes =
+    Deployment.build d ~replica_env:(env t) ~env:(env t)
+      ~stats:(fun _ -> stats)
+      ~sink:(fun _ -> assert false) (* closed loop: no open-loop drivers *)
+      ~stop_at:0
   in
-  t.roles <- Array.append (Array.map (fun r -> Replica r) replicas) clients;
-  Array.iter Protocol.start replicas;
-  Array.iter (function Client c -> client_issue t c | Replica _ -> ()) t.roles;
+  t.nodes <- Some nodes;
+  t.handlers <-
+    Array.init n (fun i ->
+        if i < cfg.Trace.n_replicas then Deployment.replica_handler d nodes i
+        else Deployment.client_handler nodes (i - cfg.Trace.n_replicas));
+  Array.iter Protocol.start nodes.Deployment.replicas;
+  Array.iteri (fun k _ -> Deployment.start_client nodes k) nodes.Deployment.clients;
   for i = 0 to n - 1 do
     drain_self t i
   done;
@@ -230,72 +161,65 @@ let create ?ring cfg =
 
 (* ---- enabled choices ------------------------------------------------- *)
 
-let majority t = (t.cfg.Trace.n_replicas / 2) + 1
+(* The two enabling predicates every enumeration below shares. *)
+let deliverable t ~src ~dst =
+  t.alive.(dst) && not (Queue.is_empty t.links.(src).(dst))
 
-let alive_replicas t =
-  let k = ref 0 in
-  for i = 0 to t.cfg.Trace.n_replicas - 1 do
-    if t.alive.(i) then incr k
+let fireable t node =
+  t.alive.(node) && t.fires_left.(node) > 0 && Event_queue.length t.timers.(node) > 0
+
+(* Deliverable links in (src, dst) order. *)
+let deliverable_links t =
+  let acc = ref [] in
+  for src = t.n - 1 downto 0 do
+    for dst = t.n - 1 downto 0 do
+      if deliverable t ~src ~dst then acc := (src, dst) :: !acc
+    done
   done;
-  !k
+  !acc
+
+let fireable_nodes t = List.filter (fireable t) (List.init t.n Fun.id)
+
+(* A crash must leave a majority of replicas alive. *)
+let may_crash t =
+  let alive = ref 0 in
+  for i = 0 to t.cfg.Trace.n_replicas - 1 do
+    if t.alive.(i) then incr alive
+  done;
+  t.crashes_left > 0 && !alive - 1 >= (t.cfg.Trace.n_replicas / 2) + 1
 
 let is_enabled t c =
   let valid i = i >= 0 && i < t.n in
+  let link src dst = valid src && valid dst && src <> dst && deliverable t ~src ~dst in
   match c with
-  | Trace.Deliver { src; dst } ->
-    valid src && valid dst && src <> dst && t.alive.(dst)
-    && not (Queue.is_empty t.links.(src).(dst))
-  | Trace.Drop { src; dst } ->
-    t.drops_left > 0 && valid src && valid dst && src <> dst && t.alive.(dst)
-    && not (Queue.is_empty t.links.(src).(dst))
-  | Trace.Fire { node } ->
-    valid node && t.alive.(node)
-    && t.fires_left.(node) > 0
-    && Event_queue.length t.timers.(node) > 0
+  | Trace.Deliver { src; dst } -> link src dst
+  | Trace.Drop { src; dst } -> t.drops_left > 0 && link src dst
+  | Trace.Fire { node } -> valid node && fireable t node
   | Trace.Crash { node } ->
-    node >= 0
-    && node < t.cfg.Trace.n_replicas
-    && t.alive.(node) && t.crashes_left > 0
-    && alive_replicas t - 1 >= majority t
+    node >= 0 && node < t.cfg.Trace.n_replicas && t.alive.(node) && may_crash t
 
 (* The fixed enumeration order — delivers by (src, dst), then timer
    fires by node, then faults — is part of the replay contract: sibling
    order in the DFS, and hence trace shapes, depend on it. *)
 let enabled t =
-  let acc = ref [] in
-  let add c = acc := c :: !acc in
-  for src = 0 to t.n - 1 do
-    for dst = 0 to t.n - 1 do
-      if t.alive.(dst) && not (Queue.is_empty t.links.(src).(dst)) then
-        add (Trace.Deliver { src; dst })
-    done
-  done;
-  for node = 0 to t.n - 1 do
-    if
-      t.alive.(node)
-      && t.fires_left.(node) > 0
-      && Event_queue.length t.timers.(node) > 0
-    then add (Trace.Fire { node })
-  done;
-  if t.drops_left > 0 then
-    for src = 0 to t.n - 1 do
-      for dst = 0 to t.n - 1 do
-        if t.alive.(dst) && not (Queue.is_empty t.links.(src).(dst)) then
-          add (Trace.Drop { src; dst })
-      done
-    done;
-  if t.crashes_left > 0 && alive_replicas t - 1 >= majority t then
-    for node = 0 to t.cfg.Trace.n_replicas - 1 do
-      if t.alive.(node) then add (Trace.Crash { node })
-    done;
-  List.rev !acc
+  let links = deliverable_links t in
+  List.map (fun (src, dst) -> Trace.Deliver { src; dst }) links
+  @ List.map (fun node -> Trace.Fire { node }) (fireable_nodes t)
+  @ (if t.drops_left > 0 then List.map (fun (src, dst) -> Trace.Drop { src; dst }) links
+     else [])
+  @
+  if may_crash t then
+    List.init t.cfg.Trace.n_replicas Fun.id
+    |> List.filter (fun node -> t.alive.(node))
+    |> List.map (fun node -> Trace.Crash { node })
+  else []
 
 (* ---- applying choices ------------------------------------------------ *)
 
 let do_deliver t ~src ~dst =
   let seq, msg = Queue.pop t.links.(src).(dst) in
   emit_kind t ~core:dst ~label:"" (Event.Recv { src; dst; seq });
-  dispatch t dst ~src msg;
+  t.handlers.(dst) ~src msg;
   drain_self t dst
 
 (* [budgeted] is false only from the liveness closure, which continues
@@ -355,16 +279,11 @@ let apply t c =
    by relative deadline only, not by what their thunks would do; the
    per-node RNG states are not observable and so not hashed. *)
 let digest t =
-  let role_digests =
-    Array.map
-      (function
-        | Replica r -> Protocol.digest r
-        | Client c ->
-          Hashtbl.hash_param 1000 1000
-            ( c.c_next, c.c_current, c.c_target,
-              c.c_retry <> None,
-              List.sort compare c.c_acked ))
-      t.roles
+  let nodes = nodes t in
+  let node_digests =
+    Array.append
+      (Array.map Protocol.digest nodes.Deployment.replicas)
+      (Array.map Client.digest nodes.Deployment.clients)
   in
   let links = ref [] in
   for src = t.n - 1 downto 0 do
@@ -384,7 +303,7 @@ let digest t =
       t.timers
   in
   let state =
-    ( role_digests, !links, timers, t.alive, t.fires_left,
+    ( node_digests, !links, timers, t.alive, t.fires_left,
       (t.drops_left, t.crashes_left) )
   in
   (* Two differently seeded 30-bit hashes side by side: one alone
@@ -396,64 +315,30 @@ let digest t =
 (* ---- properties ------------------------------------------------------ *)
 
 let acked t =
-  Array.fold_left
-    (fun acc -> function Client c -> List.rev_append c.c_acked acc | Replica _ -> acc)
-    [] t.roles
+  Array.to_list (nodes t).Deployment.clients
+  |> List.concat_map Client.acked_writes
   |> List.sort compare
 
-let views t =
-  Array.to_list t.roles
-  |> List.filter_map (function
-       | Replica r -> Some (Ci_consensus.Replica_core.view (Protocol.replica_core r))
-       | Client _ -> None)
-
-(* Safety, checked at every explored state: agreement, non-triviality,
-   state convergence, session integrity — exactly the runners'
-   end-of-run audit, over the world's incrementally kept issued table. *)
-let check t =
-  fst
-    (Ci_consensus.Audit.check
-       ~issued:(fun ~client ~req_id -> Hashtbl.find_opt t.issued (client, req_id))
-       ~acked:(fun f -> List.iter (fun (client, req_id) -> f client req_id) (acked t))
-       ~logs:[ List.map Consistency.log_of_view (views t) ]
-       ~txns:[])
+(* Safety, checked at every explored state: the runners' own end-of-run
+   audit over the deployment's current state. *)
+let check t = fst (Deployment.audit t.d (nodes t))
 
 let all_acked t =
   Array.for_all
-    (function
-      | Client c -> c.c_next = t.cfg.Trace.n_commands && c.c_current = None
-      | Replica _ -> true)
-    t.roles
+    (fun c -> Client.completed c = t.cfg.Trace.n_commands)
+    (nodes t).Deployment.clients
 
+(* Replies arrive in request order, so a client's unacknowledged
+   requests are exactly those from its completed count on. *)
 let missing_acks t =
-  Array.fold_left
-    (fun acc -> function
-      | Replica _ -> acc
-      | Client c ->
-        let from_ = match c.c_current with Some (r, _) -> r | None -> c.c_next in
-        let rec span i acc =
-          if i >= t.cfg.Trace.n_commands then acc else span (i + 1) ((c.c_id, i) :: acc)
-        in
-        span from_ acc)
-    [] t.roles
+  Array.to_list (nodes t).Deployment.clients
+  |> List.concat_map (fun c ->
+         List.init
+           (t.cfg.Trace.n_commands - Client.completed c)
+           (fun i -> (Client.node_id c, Client.completed c + i)))
   |> List.sort compare
 
-let quiescent t =
-  let busy = ref false in
-  for src = 0 to t.n - 1 do
-    for dst = 0 to t.n - 1 do
-      if t.alive.(dst) && not (Queue.is_empty t.links.(src).(dst)) then
-        busy := true
-    done
-  done;
-  for node = 0 to t.n - 1 do
-    if
-      t.alive.(node)
-      && t.fires_left.(node) > 0
-      && Event_queue.length t.timers.(node) > 0
-    then busy := true
-  done;
-  not !busy
+let quiescent t = deliverable_links t = [] && fireable_nodes t = []
 
 (* Deterministic fault-free continuation: deliver everything in (src,
    dst) order; once no deliveries remain, fire the globally earliest
@@ -466,21 +351,11 @@ let run_closure t ~max_steps =
   let seen = Hashtbl.create 997 in
   let progress () =
     ( List.length (acked t),
-      List.fold_left (fun a v -> a + List.length v.Consistency.decisions) 0 (views t) )
-  in
-  let first_deliver () =
-    let found = ref None in
-    (try
-       for src = 0 to t.n - 1 do
-         for dst = 0 to t.n - 1 do
-           if t.alive.(dst) && not (Queue.is_empty t.links.(src).(dst)) then begin
-             found := Some (src, dst);
-             raise Exit
-           end
-         done
-       done
-     with Exit -> ());
-    !found
+      Array.fold_left
+        (fun a r ->
+          let v = Ci_consensus.Replica_core.view (Protocol.replica_core r) in
+          a + List.length v.Consistency.decisions)
+        0 (nodes t).Deployment.replicas )
   in
   let earliest_fire () =
     let best = ref None in
@@ -505,11 +380,11 @@ let run_closure t ~max_steps =
       if Hashtbl.mem seen key then result := Some (`Livelock (missing_acks t))
       else begin
         Hashtbl.add seen key ();
-        match first_deliver () with
-        | Some (src, dst) ->
+        match deliverable_links t with
+        | (src, dst) :: _ ->
           do_deliver t ~src ~dst;
           incr steps
-        | None -> (
+        | [] -> (
           match earliest_fire () with
           | Some (_, node) ->
             do_fire t ~budgeted:false node;

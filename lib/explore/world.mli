@@ -1,8 +1,13 @@
-(** The model checker's controlled world: one complete replicated
-    system — protocol replicas, closed-loop clients, FIFO links, timer
-    queues — whose every scheduling decision is an explicit
+(** The model checker's controlled world: one
+    {!Ci_workload.Deployment} — a single group of dedicated replicas
+    and closed-loop clients, built, wired and audited exactly as the
+    simulator and the live runtime build theirs — hosted on node
+    environments whose every scheduling decision is an explicit
     {!Trace.choice} made by the caller, instead of the single
     (time, insertion)-ordered next event {!Ci_engine.Sim} would pop.
+    The world supplies only what the checker controls: per-node FIFO
+    links, choice-driven timer queues, one clock and per-node seeded
+    RNGs.
 
     A world is deterministic given its {!Trace.config}: the same choice
     sequence always reproduces the same execution (per-node RNGs are
@@ -20,8 +25,10 @@
 type t
 
 val create : ?ring:Ci_obs.Event.ring -> Trace.config -> t
-(** [create cfg] builds the initial state: replicas created and
-    started, every client's first request already in flight. With
+(** [create cfg] builds the initial state: the config's deployment
+    (2 ms client timeout, no think time, writes only over two keys,
+    [n_commands] requests per client) built and started, every
+    client's first request already in flight. With
     [ring], sends, deliveries, timer fires, faults and protocol phases
     are emitted as typed {!Ci_obs.Event} records (the replay sidecar);
     without it observation costs nothing. Raises [Invalid_argument] on
@@ -51,7 +58,8 @@ val apply : t -> Trace.choice -> unit
 
 val digest : t -> int
 (** Structural fingerprint for the visited-state table: per-replica
-    protocol digests, client progress, the in-flight message multiset
+    protocol digests, per-client {!Ci_workload.Client.digest}s, the
+    in-flight message multiset
     per link, relative timer deadlines, liveness flags and remaining
     budgets, hashed into 60 bits (two differently seeded 30-bit
     hashes). Equal states give equal digests; the documented
@@ -60,9 +68,10 @@ val digest : t -> int
     DESIGN.md §14 for why pruning on it is a soundness trade. *)
 
 val check : t -> Ci_rsm.Consistency.report
-(** The runner's end-of-run safety predicate (agreement,
-    non-triviality, convergence, session integrity) evaluated on the
-    {e current} state, crashed replicas' frozen views included. *)
+(** {!Ci_workload.Deployment.audit}, the runners' end-of-run safety
+    predicate (agreement, non-triviality, convergence, session
+    integrity), evaluated on the {e current} state, crashed replicas'
+    frozen logs included. *)
 
 val quiescent : t -> bool
 (** No delivery and no (budgeted) timer fire is enabled — only faults,

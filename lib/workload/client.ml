@@ -169,6 +169,15 @@ let acked_writes t =
   let id = t.env.Node_env.id in
   Ci_rsm.Dense_map.fold (fun req_id () acc -> (id, req_id) :: acc) t.acked []
 
+(* The send time is left out, so the digest stays clock-relative. *)
+let digest t =
+  Hashtbl.hash_param 1000 1000
+    ( t.next_req,
+      Option.map (fun (req_id, cmd, _) -> (req_id, cmd)) t.current,
+      t.target_idx,
+      Option.is_some t.retry_timer,
+      acked_writes t )
+
 let create ~env ~policy ~stats =
   if Array.length policy.targets = 0 then
     invalid_arg "Client.create: empty target list";

@@ -85,3 +85,9 @@ val acked_writes : t -> (int * int) list
 val iter_acked_writes : t -> (int -> int -> unit) -> unit
 (** [iter_acked_writes t f] calls [f client_node req_id] on each pair
     of {!acked_writes}, in the same order, without building the list. *)
+
+val digest : t -> int
+(** [digest t] is a structural fingerprint of the client's progress —
+    next request, the in-flight request without its send time, the
+    addressed target, whether a retry is armed, the acknowledged writes
+    — for the model checker's visited-state table. *)
