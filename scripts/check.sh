@@ -4,6 +4,8 @@
 # parallel experiment runner. The full adversarial suite is `dune runtest`.
 set -eu
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== build (warnings are errors under the dev profile) =="
 dune build
@@ -11,15 +13,18 @@ dune build
 echo "== quick tests (dune build @runtest-quick) =="
 dune build @runtest-quick
 
-echo "== engine self-benchmark, jobs=2 (writes BENCH_engine.json) =="
+echo "== engine self-benchmark, jobs=2 (BENCH_engine.json into a temp dir) =="
 # --jobs 2 makes the engine section's fixed batch take both the
 # single-domain (jobs=1) and multi-domain (jobs=2) paths and assert
-# the results are identical.
-dune exec bench/main.exe -- engine --jobs 2
+# the results are identical. The bench writes its JSON into the working
+# directory, so it runs from a temp dir and leaves the tracked
+# BENCH_engine.json alone.
+dune build bench/main.exe
+bench=$PWD/_build/default/bench/main.exe
+(cd "$tmp" && "$bench" engine --jobs 2)
 
 echo "== figures byte-identity across --jobs (1 vs 3) =="
-tmp1=$(mktemp) && tmp3=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp3"' EXIT
+tmp1=$tmp/figures1 && tmp3=$tmp/figures3
 dune exec bin/consensus_sim.exe -- figures latency --jobs 1 > "$tmp1"
 dune exec bin/consensus_sim.exe -- figures latency --jobs 3 > "$tmp3"
 cmp "$tmp1" "$tmp3"
@@ -73,8 +78,7 @@ echo "== sim byte-identity at groups=1 (sharding off leaves output untouched) ==
 # Passing --groups 1 explicitly must be byte-identical to the default
 # sim run: at one group there are no routers, no 2PC participants, no
 # extra rng draws — the shard layer must leave the trace untouched.
-tmpd=$(mktemp) && tmpg=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp3" "$tmpd" "$tmpg"' EXIT
+tmpd=$tmp/default && tmpg=$tmp/groups1
 dune exec bin/consensus_sim.exe -- run --protocol 1paxos \
   --replicas 3 --clients 5 --duration-ms 30 > "$tmpd"
 dune exec bin/consensus_sim.exe -- run --protocol 1paxos \

@@ -158,6 +158,38 @@ let test_empty_targets_rejected () =
     Alcotest.fail "empty targets accepted"
   with Invalid_argument _ -> ()
 
+(* Two clients on identical seeds whose first requests leave at
+   different instants digest equal: the send time is history, not
+   state. A reply is state. *)
+let test_digest_is_clock_relative () =
+  let clock = ref 0 in
+  let make () =
+    let env =
+      {
+        Ci_engine.Node_env.id = 9;
+        send = (fun ~dst:_ _ -> ());
+        now = (fun () -> !clock);
+        after = (fun ~delay:_ _ -> ());
+        after_cancel = (fun ~delay:_ _ -> { Ci_engine.Node_env.cancel = ignore });
+        rng = Ci_engine.Rng.create ~seed:1;
+        note_phase = (fun ~phase:_ -> ());
+      }
+    in
+    Client.create ~env
+      ~policy:(Client.default_policy ~targets:[| 0 |])
+      ~stats:(Run_stats.create ~bucket:Sim_time.(ms 10))
+  in
+  let early = make () in
+  Client.start early;
+  clock := Sim_time.ms 5;
+  let late = make () in
+  Client.start late;
+  Alcotest.(check int) "send time is not state" (Client.digest early)
+    (Client.digest late);
+  Client.handle late ~src:0 (Wire.Reply { req_id = 0; result = Command.Done });
+  Alcotest.(check bool) "an ack is state" true
+    (Client.digest early <> Client.digest late)
+
 let suite =
   ( "client",
     [
@@ -171,4 +203,5 @@ let suite =
       Alcotest.test_case "reads not acked" `Quick test_reads_not_acked;
       Alcotest.test_case "fail-over rotates targets" `Quick test_failover_rotates_targets;
       Alcotest.test_case "empty targets rejected" `Quick test_empty_targets_rejected;
+      Alcotest.test_case "digest is clock-relative" `Quick test_digest_is_clock_relative;
     ] )
