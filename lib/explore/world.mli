@@ -59,13 +59,13 @@ val apply : t -> Trace.choice -> unit
 val digest : t -> int
 (** Structural fingerprint for the visited-state table: per-replica
     protocol digests, per-client {!Ci_workload.Client.digest}s, the
-    in-flight message multiset
-    per link, relative timer deadlines, liveness flags and remaining
-    budgets, hashed into 60 bits (two differently seeded 30-bit
-    hashes). Equal states give equal digests; the documented
-    abstractions (relative time, thunk-blind timers, unhashed RNG
-    state, hash collisions) mean the converse can fail — see
-    DESIGN.md §14 for why pruning on it is a soundness trade. *)
+    in-flight message multiset per link, relative timer deadlines,
+    liveness flags and remaining budgets, hashed into 60 bits (two
+    differently seeded 30-bit hashes). Equal states give equal
+    digests; the documented abstractions (relative time, thunk-blind
+    timers, unhashed RNG state, hash collisions) mean the converse can
+    fail — see DESIGN.md §14 for why pruning on it is a soundness
+    trade. *)
 
 val check : t -> Ci_rsm.Consistency.report
 (** {!Ci_workload.Deployment.audit}, the runners' end-of-run safety
